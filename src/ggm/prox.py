@@ -6,7 +6,6 @@ the PSD cone, and the prox of the K-coupled fused-l1 penalty. All
 operators are pure functions: identical inputs give bit-identical
 outputs.
 """
-from functools import lru_cache
 from typing import NamedTuple
 
 import numpy as np
@@ -95,46 +94,27 @@ def prox_psd_trace(a, kappa: float):
 # on vectors sorted in decreasing order, is linear with coefficients
 # w*(K - 2k + 1), so the prox is an isotonic regression of the shifted
 # sorted vector followed by soft-thresholding (the l1 part composes since
-# soft-thresholding preserves coordinate ordering). Non-uniform weights
-# fall back to exact cyclic coordinate minimization with joint moves over
-# subsets of tied coordinates; single-coordinate sweeps alone can stall
-# on fused groups.
+# soft-thresholding preserves coordinate ordering). The isotonic fit is the
+# min-max formula fit_i = min_{j<=i} max_{l>=i} mean(v_j..v_l), evaluated
+# for all columns at once in O(K^2) time and O(K) memory per column. The
+# solvers apply it to the upper triangle of the symmetric part of each
+# matrix and mirror the result, which is the exact prox over symmetric
+# matrices. Non-uniform weights fall back to exact cyclic coordinate
+# minimization with joint moves over subsets of tied coordinates;
+# single-coordinate sweeps alone can stall on fused groups.
 # ---------------------------------------------------------------------------
-
-
-@lru_cache(maxsize=None)
-def _contiguous_partitions(k: int):
-    """Averaging maps of all partitions of range(k) into contiguous blocks.
-
-    Shape (2^(k-1), k, k); map p sends a vector to its blockwise means
-    under partition p.
-    """
-    mats = []
-    for cuts in range(2 ** (k - 1)) if k > 1 else [0]:
-        bounds = [0]
-        for i in range(k - 1):
-            if (cuts >> i) & 1:
-                bounds.append(i + 1)
-        bounds.append(k)
-        m = np.zeros((k, k))
-        for lo, hi in zip(bounds[:-1], bounds[1:]):
-            m[lo:hi, lo:hi] = 1.0 / (hi - lo)
-        mats.append(m)
-    return np.stack(mats)
 
 
 def _isotonic_decreasing_stack(v):
     """Exact decreasing isotonic fit along axis 0 of v with shape (K, n)."""
-    k, n = v.shape
-    if k == 1:
-        return v.copy()
-    avg = _contiguous_partitions(k)
-    fits = np.einsum("pij,jn->pin", avg, v)          # (P, K, n)
-    feas = np.all(fits[:, :-1, :] >= fits[:, 1:, :] - 1e-12, axis=1)
-    cost = np.sum((fits - v[None]) ** 2, axis=1)
-    cost = np.where(feas, cost, np.inf)
-    best = np.argmin(cost, axis=0)
-    return fits[best, :, np.arange(n)].T
+    k = v.shape[0]
+    fit = np.full_like(v, np.inf)
+    for j in range(k):
+        # means of the blocks v_j..v_l for l >= j, then their max over l >= i
+        means = np.cumsum(v[j:], axis=0) / np.arange(1, k - j + 1)[:, None]
+        upper = np.maximum.accumulate(means[::-1], axis=0)[::-1]
+        np.minimum(fit[j:], upper, out=fit[j:])
+    return fit
 
 
 def fused_prox_stack(v, lam1, pair_weight: float):

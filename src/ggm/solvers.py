@@ -33,6 +33,9 @@ from .prox import (
 from .sampling import ObservedCovariances
 
 _EPS = 1e-12
+# Largest K for which solve_joint_hidden accepts non-uniform weights: their
+# fused prox makes 2^K tied-subset moves per matrix entry.
+_MAX_GENERAL_LAYERS = 4
 
 
 class AdmissibleSet(Enum):
@@ -147,9 +150,12 @@ def _as_cov_list(covs):
 # ---------------------------------------------------------------------------
 
 def _l1_off(a, penalize_diagonal):
+    """l1 norm of each matrix in the stack a (..., o, o), skipping the
+    diagonal unless penalize_diagonal is set."""
+    total = np.abs(a).sum(axis=(-2, -1))
     if penalize_diagonal:
-        return np.abs(a).sum()
-    return np.abs(a).sum() - np.abs(np.diag(a)).sum()
+        return total
+    return total - np.abs(np.diagonal(a, axis1=-2, axis2=-1)).sum(axis=-1)
 
 
 def joint_objective(s, p, covs, w: PenaltyWeights) -> float:
@@ -163,19 +169,28 @@ def joint_objective(s, p, covs, w: PenaltyWeights) -> float:
     k = len(cov_list)
     if len(s) != k or len(p) != k or w.n_layers != k:
         raise InvalidInput("s, p, covs and weights must agree on the number of layers")
+    s = np.asarray(s, dtype=float)
+    p = np.asarray(p, dtype=float)
+    r = s - p
+    lam = np.linalg.eigvalsh(r)
+    if lam.min() <= 0:
+        return np.inf
+    fit = (r * np.asarray(cov_list)).sum(axis=(1, 2)) - np.log(lam).sum(axis=1)
+    l1 = _l1_off(s, w.penalize_diagonal)
+    nuclear = np.abs(np.linalg.eigvalsh(p)).sum(axis=1)
+    iu = [i for i in range(k) for _ in range(i + 1, k)]
+    ju = [j for i in range(k) for j in range(i + 1, k)]
+    l1_pair = _l1_off(s[iu] - s[ju], w.penalize_diagonal)
+    l1_pair_p = np.abs(p[iu] - p[ju]).sum(axis=(1, 2))
+    # summed layer by layer, then pair by pair, in a fixed order
     total = 0.0
     for i in range(k):
-        r = s[i] - p[i]
-        lam = np.linalg.eigvalsh(r)
-        if lam.min() <= 0:
-            return np.inf
-        total += float(np.sum(r * cov_list[i]) - np.sum(np.log(lam)))
-        total += w.rho[i] * _l1_off(s[i], w.penalize_diagonal)
-        total += w.beta[i] * float(np.abs(np.linalg.eigvalsh(p[i])).sum())
-    for i in range(k):
-        for j in range(i + 1, k):
-            total += w.rho_pair[i, j] * _l1_off(s[i] - s[j], w.penalize_diagonal)
-            total += w.beta_pair[i, j] * float(np.abs(p[i] - p[j]).sum())
+        total += float(fit[i])
+        total += w.rho[i] * l1[i]
+        total += w.beta[i] * float(nuclear[i])
+    for n, (i, j) in enumerate(zip(iu, ju)):
+        total += w.rho_pair[i, j] * l1_pair[n]
+        total += w.beta_pair[i, j] * float(l1_pair_p[n])
     return total
 
 
@@ -218,25 +233,36 @@ def joint_objective_l0(s, p, covs, w: PenaltyWeights, max_hidden_rank: int,
     return total
 
 
-def gl_objective(s, cov, lam: float, penalize_diagonal: bool = False) -> float:
-    """Graphical-lasso objective tr(S C) - logdet S + lam ||S||_1."""
+def _gl_terms(s, cov, lam: float, penalize_diagonal: bool):
+    """Graphical-lasso objective of each layer of the stacks s and cov
+    (K, o, o), or None when some S^k is not positive definite."""
     ev = np.linalg.eigvalsh(s)
     if ev.min() <= 0:
-        return np.inf
-    return float(np.sum(s * cov) - np.sum(np.log(ev))) + lam * _l1_off(s, penalize_diagonal)
+        return None
+    fit = (s * cov).sum(axis=(-2, -1)) - np.log(ev).sum(axis=-1)
+    return fit + lam * _l1_off(s, penalize_diagonal)
+
+
+def gl_objective(s, cov, lam: float, penalize_diagonal: bool = False) -> float:
+    """Graphical-lasso objective tr(S C) - logdet S + lam ||S||_1."""
+    terms = _gl_terms(np.asarray(s, dtype=float)[None], np.asarray(cov)[None], lam,
+                      penalize_diagonal)
+    return np.inf if terms is None else terms[0]
 
 
 def ggl_objective(s_list, covs, lambda1: float, lambda2: float,
                   penalize_diagonal: bool = False) -> float:
     """Group graphical lasso: per-layer GL terms plus a cross-layer
     group-l2 penalty on every (off-diagonal) entry."""
-    cov_list = _as_cov_list(covs)
+    stack = np.asarray(s_list, dtype=float)
+    terms = _gl_terms(stack, np.asarray(_as_cov_list(covs)), lambda1, penalize_diagonal)
+    if terms is None:
+        return np.inf
     total = 0.0
-    for s, c in zip(s_list, cov_list):
-        total += gl_objective(s, c, lambda1, penalize_diagonal)
+    for term in terms:
+        total += term
         if not np.isfinite(total):
             return np.inf
-    stack = np.stack(s_list)
     if not penalize_diagonal:
         off = ~np.eye(stack.shape[1], dtype=bool)
         stack = stack * off
@@ -260,18 +286,52 @@ def _batch_prox_psd_trace(anchor, kappa_per_layer):
     return (q * phi[:, None, :]) @ np.swapaxes(q, 1, 2)
 
 
-def _fused_update(v_cols, lam_vec, pair_mat, sigma):
-    """Columnwise fused-l1 prox of v_cols (K, n) at penalty sigma."""
+def _is_uniform(lam_vec, pair_mat):
+    """True when one l1 weight and one pair weight serve every layer."""
+    offd = pair_mat[np.triu_indices(len(lam_vec), 1)]
+    return bool(np.all(lam_vec == lam_vec[0]) and np.all(offd == offd[:1]))
+
+
+def _fused_update(v_cols, lam_vec, pair_mat, sigma, uniform):
+    """Columnwise fused-l1 prox of v_cols (K, n) at penalty sigma.
+
+    uniform is _is_uniform(lam_vec, pair_mat), which the caller computes
+    once per solve.
+    """
     k = v_cols.shape[0]
     if k == 1:
         return np.sign(v_cols) * np.maximum(np.abs(v_cols) - lam_vec[0] / sigma, 0.0)
-    offd = pair_mat[np.triu_indices(k, 1)]
-    if np.all(lam_vec == lam_vec[0]) and np.all(offd == offd[0]):
-        return fused_prox_stack(v_cols, lam_vec[0] / sigma, float(offd[0]) / sigma)
+    if uniform:
+        return fused_prox_stack(v_cols, lam_vec[0] / sigma, float(pair_mat[0, 1]) / sigma)
     out = np.empty_like(v_cols)
     for i in range(v_cols.shape[1]):
         out[:, i] = prox_fused_l1(v_cols[:, i], lam_vec / sigma, pair_mat / sigma)
     return out
+
+
+def _triangle(o, offset):
+    """Flat indices into an (o, o) matrix of the upper triangle
+    np.triu_indices(o, offset) and of its mirror image."""
+    i, j = np.triu_indices(o, offset)
+    return i * o + j, j * o + i
+
+
+def _mirrored_fused_update(v, upper, lower, lam_vec, pair_mat, sigma, uniform):
+    """Fused-l1 prox over symmetric matrices of the stack v (K, o, o).
+
+    The entries at the flat indices `upper` get the prox of the symmetric
+    part (v + v^T) / 2 and are mirrored to `lower`; entries outside both
+    (an unpenalized diagonal) keep the values of v. Since the penalty and
+    the squared distance each count an off-diagonal pair twice, this is
+    the exact prox over symmetric matrices.
+    """
+    flat = v.reshape(v.shape[0], -1)
+    out = flat.copy()
+    sym = 0.5 * (np.take(flat, upper, axis=1) + np.take(flat, lower, axis=1))
+    z = _fused_update(sym, lam_vec, pair_mat, sigma, uniform)
+    out[:, upper] = z
+    out[:, lower] = z
+    return out.reshape(v.shape)
 
 
 def _project_admissible(a, admissible_set):
@@ -312,6 +372,12 @@ def solve_joint_hidden(covs, w: PenaltyWeights, cfg: SolverConfig = SolverConfig
     the configured tolerances, with residual-balancing adaptation of the
     penalty parameter. The returned s_hat carry the exact zeros of the
     l1 prox; p_hat are exactly PSD.
+
+    Raises
+    ------
+    InvalidInput
+        If K > 4 and rho, rho_pair or beta_pair are not uniform across
+        layers (see PenaltyWeights.tied).
     """
     cov_list = _as_cov_list(covs)
     k = len(cov_list)
@@ -320,8 +386,15 @@ def solve_joint_hidden(covs, w: PenaltyWeights, cfg: SolverConfig = SolverConfig
     o = cov_list[0].shape[0]
     if any(c.shape != (o, o) for c in cov_list):
         raise InvalidInput("covariances must share one dimension")
+    s_uniform = _is_uniform(w.rho, w.rho_pair)
+    p_uniform = _is_uniform(np.zeros(k), w.beta_pair)
+    if k > _MAX_GENERAL_LAYERS and not (s_uniform and p_uniform):
+        raise InvalidInput(
+            f"non-uniform rho, rho_pair or beta_pair need an exponential-time fused prox; "
+            f"K={k} exceeds {_MAX_GENERAL_LAYERS} layers, use PenaltyWeights.tied")
     cov_stack = np.stack(cov_list)
-    diag_cols = np.eye(o, dtype=bool).ravel()
+    s_upper, s_lower = _triangle(o, 0 if w.penalize_diagonal else 1)
+    p_upper, p_lower = _triangle(o, 0)
 
     zs = np.broadcast_to(np.eye(o), (k, o, o)).copy()
     zp = np.zeros((k, o, o))
@@ -336,17 +409,12 @@ def solve_joint_hidden(covs, w: PenaltyWeights, cfg: SolverConfig = SolverConfig
     for it in range(cfg.max_iters):
         # x-update: independent proxes of the four objective blocks
         r = _batch_prox_logdet(zs - zp - u_r, cov_stack, sigma)
-        va = (zs - u_a).reshape(k, -1)
-        a = np.empty_like(va)
-        a[:, ~diag_cols] = _fused_update(va[:, ~diag_cols], w.rho, w.rho_pair, sigma)
-        if w.penalize_diagonal:
-            a[:, diag_cols] = _fused_update(va[:, diag_cols], w.rho, w.rho_pair, sigma)
-        else:
-            a[:, diag_cols] = va[:, diag_cols]
-        a = _project_admissible(a.reshape(k, o, o), cfg.admissible_set)
+        a = _mirrored_fused_update(zs - u_a, s_upper, s_lower, w.rho, w.rho_pair, sigma,
+                                   s_uniform)
+        a = _project_admissible(a, cfg.admissible_set)
         b = _batch_prox_psd_trace(zp - u_b, w.beta / sigma)
-        c = _fused_update((zp - u_c).reshape(k, -1), np.zeros(k), w.beta_pair,
-                          sigma).reshape(k, o, o)
+        c = _mirrored_fused_update(zp - u_c, p_upper, p_lower, np.zeros(k), w.beta_pair,
+                                   sigma, p_uniform)
 
         # z-update: least-squares consensus for x = (Z_S - Z_P, Z_S, Z_P, Z_P)
         ta, tb, tc, td = r + u_r, a + u_a, b + u_b, c + u_c
@@ -537,14 +605,17 @@ def _oracle_pieces(problem):
         k = len(covs)
         o = covs[0].shape[0]
         offmask = np.ones((o, o)) if w.penalize_diagonal else 1.0 - np.eye(o)
+        cov_stack = np.stack(covs)
+        observed = ObservedCovariances(tuple(covs), (1,) * k)
+        rho = w.rho[:, None, None]
+        beta_eye = w.beta[:, None, None] * np.eye(o)
 
         def objective(s, p):
-            return joint_objective(list(s), list(p), covs, w)
+            return joint_objective(s, p, observed, w)
 
         def subgrad(s, p, rinv):
-            gs = np.stack([covs[i] - rinv[i] + w.rho[i] * np.sign(s[i]) * offmask
-                           for i in range(k)])
-            gp = np.stack([-covs[i] + rinv[i] + w.beta[i] * np.eye(o) for i in range(k)])
+            gs = cov_stack - rinv + rho * np.sign(s) * offmask
+            gp = -cov_stack + rinv + beta_eye
             for i in range(k):
                 for j in range(i + 1, k):
                     sg = np.sign(s[i] - s[j]) * offmask
@@ -561,14 +632,15 @@ def _oracle_pieces(problem):
         covs = [symmetrize(c) for c in problem.covs]
         o = covs[0].shape[0]
         offmask = np.ones((o, o)) if problem.penalize_diagonal else 1.0 - np.eye(o)
+        cov_stack = np.stack(covs)
+        observed = ObservedCovariances(tuple(covs), (1,) * len(covs))
 
         def objective(s, p):
-            return ggl_objective(list(s), covs, problem.lambda1, problem.lambda2,
+            return ggl_objective(s, observed, problem.lambda1, problem.lambda2,
                                  problem.penalize_diagonal)
 
         def subgrad(s, p, rinv):
-            gs = np.stack([covs[i] - rinv[i] + problem.lambda1 * np.sign(s[i]) * offmask
-                           for i in range(len(covs))])
+            gs = cov_stack - rinv + problem.lambda1 * np.sign(s) * offmask
             masked = s * offmask
             nrm = np.sqrt(np.sum(masked ** 2, axis=0))
             gs += problem.lambda2 * masked / np.maximum(nrm, 1e-300)

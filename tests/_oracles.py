@@ -2,10 +2,15 @@
 
 Everything here recomputes expected values by a route different from the
 package implementation: grid search, plain-loop objective evaluation,
-SVD-based proxes, and full-matrix inversion for the Schur identity.
+SVD-based proxes, full-matrix inversion for the Schur identity, and the
+fused-l1 prox by partition enumeration or from its bounded least-squares
+dual.
 """
+from itertools import combinations
+
 import numpy as np
 import scipy.linalg
+from scipy.optimize import lsq_linear
 
 
 def fused_brute_force(v, lam1, pair_w, target_cell=2.5e-4):
@@ -43,6 +48,66 @@ def fused_brute_force(v, lam1, pair_w, target_cell=2.5e-4):
             return best
         centers = best
         span = 3.0 * cell
+
+
+def isotonic_by_partitions(v):
+    """Decreasing isotonic fit along axis 0 of v (K, n) by enumeration.
+
+    Tries all 2^(K-1) partitions of range(K) into contiguous blocks, fits
+    the blockwise means, and keeps the cheapest monotone fit per column.
+    Memory grows as 2^(K-1) K n, so this is a reference for small K only.
+    """
+    v = np.asarray(v, dtype=float)
+    k, n = v.shape
+    mats = []
+    for cuts in range(2 ** (k - 1)):
+        bounds = [0] + [i + 1 for i in range(k - 1) if (cuts >> i) & 1] + [k]
+        m = np.zeros((k, k))
+        for lo, hi in zip(bounds[:-1], bounds[1:]):
+            m[lo:hi, lo:hi] = 1.0 / (hi - lo)
+        mats.append(m)
+    fits = np.einsum("pij,jn->pin", np.stack(mats), v)          # (P, K, n)
+    feas = np.all(fits[:, :-1, :] >= fits[:, 1:, :] - 1e-12, axis=1)
+    cost = np.where(feas, np.sum((fits - v[None]) ** 2, axis=1), np.inf)
+    return fits[np.argmin(cost, axis=0), :, np.arange(n)].T
+
+
+def fused_prox_by_partitions(v, lam1, pair_w):
+    """Uniform-weight fused-l1 prox of each column of v (K, n): sort each
+    column decreasingly, shift by the pairwise term's linear coefficients,
+    fit by isotonic_by_partitions, unsort and soft-threshold."""
+    v = np.asarray(v, dtype=float)
+    k = v.shape[0]
+    order = np.argsort(-v, axis=0, kind="stable")
+    vs = np.take_along_axis(v, order, axis=0)
+    shift = pair_w * (k + 1.0 - 2.0 * np.arange(1, k + 1))
+    z = np.empty_like(v)
+    np.put_along_axis(z, order, isotonic_by_partitions(vs - shift[:, None]), axis=0)
+    return np.sign(z) * np.maximum(np.abs(z) - lam1, 0.0)
+
+
+def fused_duality_gap(z, v, lam1, pair_w):
+    """Duality gap of z as the uniform-weight fused-l1 prox of the vector v.
+
+    The prox is min_z 1/2 ||z - v||^2 + ||A z||_1 with A = [lam I; w D] and
+    D the (K choose 2) x K pairwise-difference matrix. Its dual,
+    max_{|u| <= 1} 1/2 ||v||^2 - 1/2 ||v - A^T u||^2, is a bounded
+    least-squares problem solved here by BVLS; the gap is zero exactly at
+    the prox.
+    """
+    v = np.asarray(v, dtype=float)
+    z = np.asarray(z, dtype=float)
+    k = v.size
+    pairs = list(combinations(range(k), 2))
+    diff = np.zeros((len(pairs), k))
+    for row, (i, j) in enumerate(pairs):
+        diff[row, i] = 1.0
+        diff[row, j] = -1.0
+    a = np.vstack([lam1 * np.eye(k), pair_w * diff])
+    u = lsq_linear(a.T, v, bounds=(-1.0, 1.0), method="bvls").x
+    r = v - a.T @ u
+    primal = 0.5 * float(np.sum((z - v) ** 2)) + float(np.abs(a @ z).sum())
+    return primal - (0.5 * float(v @ v) - 0.5 * float(r @ r))
 
 
 def fused_objective(z, v, lam1, pair_w):

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -14,7 +16,13 @@ from ggm.prox import (
     symmetrize,
 )
 
-from _oracles import fused_brute_force, fused_objective, nuclear_prox_svd
+from _oracles import (
+    fused_brute_force,
+    fused_duality_gap,
+    fused_objective,
+    fused_prox_by_partitions,
+    nuclear_prox_svd,
+)
 
 
 def sym(rng, n, scale=1.0):
@@ -263,6 +271,55 @@ def test_fused_stack_matches_per_column():
     out = fused_prox_stack(v, 0.3, 0.2)
     for i in range(v.shape[1]):
         assert np.allclose(out[:, i], prox_fused_l1(v[:, i], 0.3, 0.2), atol=1e-12)
+
+
+def tied_columns(rng, k, n):
+    """Normal (k, n) columns in which about half the entries copy another
+    row of their column, so the ties the exact prox must fuse occur."""
+    v = rng.standard_normal((k, n))
+    tie = rng.random((k, n)) < 0.5
+    return np.where(tie, v[rng.integers(0, k, size=k)], v)
+
+
+@settings(deadline=None, max_examples=80)
+@given(
+    data=st.data(),
+    k=st.integers(2, 10),
+    n=st.integers(1, 4),
+    lam=st.floats(0, 2),
+    w=st.floats(0, 2),
+)
+def test_fused_stack_matches_partition_enumeration(data, k, n, lam, w):
+    size = k * n
+    v = np.array(data.draw(st.lists(st.floats(-3, 3), min_size=size, max_size=size)))
+    src = np.array(data.draw(st.lists(st.integers(0, k - 1), min_size=size, max_size=size)))
+    tie = np.array(data.draw(st.lists(st.booleans(), min_size=size, max_size=size)))
+    v = v.reshape(k, n)
+    v = np.where(tie.reshape(k, n), np.take_along_axis(v, src.reshape(k, n), axis=0), v)
+    out = fused_prox_stack(v, lam, w)
+    assert np.max(np.abs(out - fused_prox_by_partitions(v, lam, w))) <= 1e-12
+
+
+@pytest.mark.parametrize("k", [12, 16])
+def test_fused_stack_dual_certificate_many_layers(k):
+    rng = np.random.default_rng(k)
+    v = tied_columns(rng, k, 24)
+    for lam, w in [(0.3, 0.15), (0.0, 0.5), (1.0, 0.05)]:
+        out = fused_prox_stack(v, lam, w)
+        for c in range(v.shape[1]):
+            gap = fused_duality_gap(out[:, c], v[:, c], lam, w)
+            assert abs(gap) <= 64 * np.finfo(float).eps * max(1.0, float(v[:, c] @ v[:, c]))
+
+
+def test_fused_stack_memory_bounded_at_sixteen_layers():
+    v = tied_columns(np.random.default_rng(16), 16, 756)
+    tracemalloc.start()
+    try:
+        fused_prox_stack(v, 0.3, 0.15)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 16 * v.nbytes
 
 
 def test_kernels_are_pure():

@@ -1,9 +1,13 @@
+import time
+import tracemalloc
+
 import numpy as np
 import pytest
 
 from ggm.errors import InvalidInput
 from ggm.metrics import mean_normalized_error
 from ggm.sampling import ObservedCovariances
+from ggm.prox import prox_fused_l1
 from ggm.solvers import (
     GGLProblem,
     GLProblem,
@@ -19,6 +23,7 @@ from ggm.solvers import (
     solve_joint_hidden,
     solve_lvgl,
 )
+from ggm.solvers import _fused_update, _mirrored_fused_update, _triangle
 
 from _oracles import naive_joint_objective, random_pd_matrix, random_tiny_instance
 
@@ -151,6 +156,68 @@ def test_joint_nonuniform_weights_match_uniform_when_equal():
     a = solve_joint_hidden(covs, uni, cfg)
     b = solve_joint_hidden(covs, nonuni, cfg)
     assert abs(a.objective - b.objective) <= 1e-6 * abs(a.objective)
+
+
+def test_joint_rejects_nonuniform_weights_beyond_four_layers():
+    covs = [np.eye(3)] * 5
+    tied = PenaltyWeights.tied(5, 0.1, 0.2, 0.05, 0.04)
+    skewed = tied.rho_pair.copy()
+    skewed[0, 1] = skewed[1, 0] = 0.06
+    rho = tied.rho.copy()
+    rho[0] = 0.2
+    for w in (PenaltyWeights(rho, tied.beta, tied.rho_pair, tied.beta_pair),
+              PenaltyWeights(tied.rho, tied.beta, skewed, tied.beta_pair),
+              PenaltyWeights(tied.rho, tied.beta, tied.rho_pair, skewed)):
+        with pytest.raises(InvalidInput, match="PenaltyWeights.tied"):
+            solve_joint_hidden(covs, w, SolverConfig(max_iters=2))
+    # per-layer trace weights do not enter the fused prox
+    beta = tied.beta.copy()
+    beta[0] = 0.5
+    solve_joint_hidden(covs, PenaltyWeights(tied.rho, beta, tied.rho_pair, tied.beta_pair),
+                       SolverConfig(max_iters=2))
+    # a single prox vector keeps the general path
+    z = prox_fused_l1(np.arange(5.0), 0.1, skewed)
+    assert np.all(np.isfinite(z))
+
+
+@pytest.mark.parametrize("k, penalize_diagonal", [(3, False), (3, True), (1, False)])
+def test_mirrored_fused_update_is_full_update_of_symmetric_part(k, penalize_diagonal):
+    rng = np.random.default_rng(10 + k)
+    o = 6
+    v = rng.normal(0.0, 0.5, (k, o, o))            # not symmetric
+    sym = (0.5 * (v + np.swapaxes(v, 1, 2))).reshape(k, -1)
+    rho = np.full(k, 0.1)
+    pair = np.full((k, k), 0.07)
+    sigma = 0.8
+    # S block: strict upper triangle, plus the diagonal when it is penalized
+    upper, lower = _triangle(o, 0 if penalize_diagonal else 1)
+    got = _mirrored_fused_update(v, upper, lower, rho, pair, sigma, True).reshape(k, -1)
+    want = sym.copy()
+    cols = np.ones(o * o, dtype=bool) if penalize_diagonal else ~np.eye(o, dtype=bool).ravel()
+    want[:, cols] = _fused_update(sym[:, cols], rho, pair, sigma, True)
+    assert np.max(np.abs(got - want)) <= 1e-12
+    # P block: upper triangle with the diagonal, no l1 weight
+    upper, lower = _triangle(o, 0)
+    got = _mirrored_fused_update(v, upper, lower, np.zeros(k), pair, sigma, True).reshape(k, -1)
+    assert np.max(np.abs(got - _fused_update(sym, np.zeros(k), pair, sigma, True))) <= 1e-12
+
+
+def test_joint_sixteen_layers_bounded_memory():
+    # a fused prox exponential in K would need gigabytes here
+    rng = np.random.default_rng(16)
+    covs = [random_pd_matrix(rng, 28) for _ in range(16)]
+    w = PenaltyWeights.tied(16, 0.1, 0.1, 0.05, 0.05)
+    tracemalloc.start()
+    try:
+        start = time.perf_counter()
+        est = solve_joint_hidden(covs, w, SolverConfig(max_iters=3))
+        elapsed = time.perf_counter() - start
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert est.iterations == 3 and np.isfinite(est.objective)
+    assert peak < 16 * 2 ** 20
+    assert elapsed < 10.0
 
 
 # ---------------------------------------------------------------------------
