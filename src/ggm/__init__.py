@@ -23,8 +23,6 @@ from .graphs import (
 )
 from .metrics import EvalReport, evaluate, mean_normalized_error, support_f1
 from .prox import (
-    EigenDecomp,
-    eigh,
     prox_fused_l1,
     prox_logdet,
     prox_psd_trace,

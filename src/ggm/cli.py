@@ -4,10 +4,11 @@
     ggm solve --covs <csv ...> --rho R --beta B [...] --out <dir>
     ggm oracle --covs <csv ...> --rho R --beta B [...]
 
-``run`` reproduces one benchmark sweep and writes the result CSV plus a
-plain-text manifest next to it. ``solve`` runs the joint estimator once
-on user-supplied covariance CSVs. ``oracle`` exposes the slow reference
-solver on tiny inputs. Exit code 0 on success, 2 on any diagnosed error.
+``run`` reproduces one benchmark sweep, prints its table of mean errors
+and writes the result CSV plus a plain-text manifest next to it.
+``solve`` runs the joint estimator once on user-supplied covariance
+CSVs. ``oracle`` exposes the slow reference solver on tiny inputs. Exit
+code 0 on success, 2 on any diagnosed error.
 """
 import argparse
 import os
@@ -16,6 +17,7 @@ import sys
 from .errors import ConfigError, GgmError
 from .experiments import (
     EXPERIMENTS,
+    METHODS,
     build_config,
     emit_csv,
     parse_config_file,
@@ -67,6 +69,9 @@ def cmd_run(args, overrides):
     os.makedirs(out_dir, exist_ok=True)
     emit_csv(result.table, args.out)
     manifest = write_manifest(result, args.out)
+    print("xaxis " + " ".join(f"{m:>8}" for m in METHODS))
+    for x, row in zip(result.table.xaxis, result.table.errors):
+        print(f"{x:>5} " + " ".join(f"{v:8.4f}" for v in row))
     print(f"wrote {args.out} and {manifest} "
           f"({result.mc_invocations} scored solves, {result.runtime_seconds:.1f}s)")
     return 0

@@ -70,11 +70,11 @@ class ExperimentConfig:
     rho_grid: tuple = _logspace(-2, 0, 5)
     beta_grid: tuple = _logspace(-2, 0.5, 5)
     eta_grid: tuple = (0.5, 1.0, 2.0)
-    # solver
+    # solver (looser than SolverConfig's defaults: a sweep runs thousands of solves)
     step: float = 1.0
-    max_iters: int = 2000
-    tol_primal: float = 1e-5
-    tol_dual: float = 1e-5
+    max_iters: int = 800
+    tol_primal: float = 1e-4
+    tol_dual: float = 1e-4
     admissible_set: str = "symmetric"
     pd_floor: float = 1e-8
     # tc3 data
@@ -414,27 +414,6 @@ def run_experiment(cfg: ExperimentConfig) -> RunResult:
         runtime_seconds=time.time() - start,
         config=cfg,
     )
-
-
-def _expect(cfg: ExperimentConfig, experiment: str) -> ExperimentConfig:
-    if cfg.experiment != experiment:
-        raise ConfigError(f"config is for {cfg.experiment!r}, expected {experiment!r}")
-    return cfg
-
-
-def run_test_case_1(cfg: ExperimentConfig) -> RunResult:
-    """Error versus number of related graphs (Erdos-Renyi families)."""
-    return run_experiment(_expect(cfg, "tc1"))
-
-
-def run_test_case_2(cfg: ExperimentConfig) -> RunResult:
-    """Error versus number of samples (small-world families)."""
-    return run_experiment(_expect(cfg, "tc2"))
-
-
-def run_test_case_3(cfg: ExperimentConfig) -> RunResult:
-    """Error versus number of observed nodes (real or substitute layers)."""
-    return run_experiment(_expect(cfg, "tc3"))
 
 
 # ---------------------------------------------------------------------------

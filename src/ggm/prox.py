@@ -6,8 +6,6 @@ the PSD cone, and the prox of the K-coupled fused-l1 penalty. All
 operators are pure functions: identical inputs give bit-identical
 outputs.
 """
-from typing import NamedTuple
-
 import numpy as np
 
 from .errors import InvalidInput
@@ -21,24 +19,11 @@ def symmetrize(a):
     return 0.5 * (a + a.T)
 
 
-class EigenDecomp(NamedTuple):
-    eigenvalues: np.ndarray   # ascending
-    eigenvectors: np.ndarray  # orthonormal columns
-
-
-def eigh(a) -> EigenDecomp:
-    """Symmetric eigendecomposition with ascending eigenvalues.
-
-    Raises
-    ------
-    InvalidInput
-        If ``a`` contains non-finite entries.
-    """
-    a = symmetrize(a)
-    if not np.all(np.isfinite(a)):
-        raise InvalidInput("matrix has non-finite entries")
-    w, q = np.linalg.eigh(a)
-    return EigenDecomp(w, q)
+def _check_stack(a, name):
+    a = np.asarray(a, dtype=float)
+    if a.ndim < 2 or a.shape[-1] != a.shape[-2]:
+        raise InvalidInput(f"{name} must be a square matrix or a stack of them, got shape {a.shape}")
+    return a
 
 
 def prox_logdet(a, c, tau: float):
@@ -47,17 +32,19 @@ def prox_logdet(a, c, tau: float):
     Returns ``argmin_R tr(c R) - logdet(R) + (tau/2) ||R - a||_F^2``,
     computed from the eigendecomposition of ``a - c/tau`` with the
     eigenvalue map ``g -> (g + sqrt(g^2 + 4/tau)) / 2``. The result is
-    strictly positive definite.
+    strictly positive definite. ``a`` and ``c`` are symmetric matrices or
+    stacks ``(..., o, o)`` of them, of one shape; only the lower triangle
+    of ``a - c/tau`` is read, and the output is not symmetrized.
     """
     if tau <= 0:
         raise InvalidInput(f"tau must be positive, got {tau}")
-    a = symmetrize(a)
-    c = symmetrize(c)
+    a = _check_stack(a, "a")
+    c = _check_stack(c, "c")
     if a.shape != c.shape:
         raise InvalidInput(f"shape mismatch: {a.shape} vs {c.shape}")
     g, q = np.linalg.eigh(a - c / tau)
     phi = 0.5 * (g + np.sqrt(g * g + 4.0 / tau))
-    return symmetrize((q * phi) @ q.T)
+    return (q * phi[..., None, :]) @ np.swapaxes(q, -1, -2)
 
 
 def soft_threshold(a, lam: float, penalize_diagonal: bool = False):
@@ -72,18 +59,25 @@ def soft_threshold(a, lam: float, penalize_diagonal: bool = False):
     return out
 
 
-def prox_psd_trace(a, kappa: float):
+def prox_psd_trace(a, kappa):
     """Prox of ``kappa * tr(.)`` restricted to the PSD cone.
 
     For PSD arguments the nuclear norm equals the trace, so this is the
     eigenvalue shift-and-clip ``Q max(L - kappa, 0) Q^T``. With
-    ``kappa = 0`` it reduces to the PSD projection.
+    ``kappa = 0`` it reduces to the PSD projection. ``a`` is a symmetric
+    matrix or a stack ``(..., o, o)`` of them (only the lower triangle is
+    read, and the output is not symmetrized); ``kappa`` is a scalar or
+    one weight per matrix.
     """
-    if kappa < 0:
+    a = _check_stack(a, "a")
+    kappa = np.asarray(kappa, dtype=float)
+    if kappa.shape not in ((), a.shape[:-2]):
+        raise InvalidInput(f"kappa must be a scalar or of shape {a.shape[:-2]}, got {kappa.shape}")
+    if np.any(kappa < 0):
         raise InvalidInput(f"kappa must be nonnegative, got {kappa}")
-    g, q = np.linalg.eigh(symmetrize(a))
-    phi = np.maximum(g - kappa, 0.0)
-    return symmetrize((q * phi) @ q.T)
+    g, q = np.linalg.eigh(a)
+    phi = np.maximum(g - kappa[..., None], 0.0)
+    return (q * phi[..., None, :]) @ np.swapaxes(q, -1, -2)
 
 
 # ---------------------------------------------------------------------------

@@ -11,8 +11,10 @@ marginalized hidden nodes, by minimizing
 subject to P >= 0 and S_O - P > 0. It is solved by consensus ADMM: one
 copy per objective term (log-det barrier, fused l1 on S, trace-plus-PSD
 on P, fused l1 on P), tied to consensus variables (Z_S, Z_P) through the
-linear map x = (Z_S - Z_P, Z_S, Z_P, Z_P). Single-graph baselines (GL,
-LVGL) and the group graphical lasso (GGL) reuse the same kernels.
+linear map x = (Z_S - Z_P, Z_S, Z_P, Z_P). The single-graph baselines
+(GL, LVGL) and the group graphical lasso (GGL) reuse the same kernels,
+and GL, GGL and the joint estimator share one scaled-form ADMM loop,
+`_admm`, and differ only in their prox steps and linear maps.
 
 A slow projected-subgradient reference solver for tiny instances is
 provided as an independent check of the ADMM solutions.
@@ -27,6 +29,7 @@ from .prox import (
     fused_prox_stack,
     prox_fused_l1,
     prox_logdet,
+    prox_psd_trace,
     soft_threshold,
     symmetrize,
 )
@@ -36,6 +39,10 @@ _EPS = 1e-12
 # Largest K for which solve_joint_hidden accepts non-uniform weights: their
 # fused prox makes 2^K tied-subset moves per matrix entry.
 _MAX_GENERAL_LAYERS = 4
+# Residual balancing: the step grows or shrinks by _ADAPT_FACTOR when one
+# relative residual exceeds the other by more than _ADAPT_RATIO.
+_ADAPT_RATIO = 10.0
+_ADAPT_FACTOR = 2.0
 
 
 class AdmissibleSet(Enum):
@@ -55,9 +62,6 @@ class SolverConfig:
     tol_dual: float = 1e-5
     admissible_set: AdmissibleSet = AdmissibleSet.SYMMETRIC
     pd_floor: float = 1e-8
-    adapt_step: bool = True
-    adapt_ratio: float = 10.0
-    adapt_factor: float = 2.0
 
     def __post_init__(self):
         if isinstance(self.admissible_set, str):
@@ -143,6 +147,24 @@ def _as_cov_list(covs):
     if isinstance(covs, ObservedCovariances):
         return list(covs.covs)
     return [symmetrize(c) for c in covs]
+
+
+def _cov_stack(covs):
+    """The symmetrized covariances as one (K, o, o) stack, for the solvers.
+
+    Raises InvalidInput when none is given, when they differ in
+    dimension or when one has a non-finite entry.
+    """
+    cov_list = _as_cov_list(covs)
+    if not cov_list:
+        raise InvalidInput("need at least one covariance")
+    if any(c.shape != cov_list[0].shape for c in cov_list):
+        raise InvalidInput("covariances must share one dimension")
+    stack = np.asarray(cov_list)
+    if not np.isfinite(stack).all():
+        bad = next(i for i, c in enumerate(cov_list) if not np.isfinite(c).all())
+        raise InvalidInput(f"covariance of layer {bad} has non-finite entries")
+    return stack
 
 
 # ---------------------------------------------------------------------------
@@ -274,18 +296,6 @@ def ggl_objective(s_list, covs, lambda1: float, lambda2: float,
 # Shared pieces of the splitting loops
 # ---------------------------------------------------------------------------
 
-def _batch_prox_logdet(anchor, cov_stack, sigma):
-    g, q = np.linalg.eigh(anchor - cov_stack / sigma)
-    phi = 0.5 * (g + np.sqrt(g * g + 4.0 / sigma))
-    return (q * phi[:, None, :]) @ np.swapaxes(q, 1, 2)
-
-
-def _batch_prox_psd_trace(anchor, kappa_per_layer):
-    g, q = np.linalg.eigh(anchor)
-    phi = np.maximum(g - kappa_per_layer[:, None], 0.0)
-    return (q * phi[:, None, :]) @ np.swapaxes(q, 1, 2)
-
-
 def _is_uniform(lam_vec, pair_mat):
     """True when one l1 weight and one pair weight serve every layer."""
     offd = pair_mat[np.triu_indices(len(lam_vec), 1)]
@@ -343,22 +353,84 @@ def _project_admissible(a, admissible_set):
     return a
 
 
-def _rebalance(sigma, duals, rp, rd, cfg):
-    if not cfg.adapt_step:
-        return sigma
-    if rp > cfg.adapt_ratio * rd and sigma * cfg.adapt_factor <= 1e6:
-        sigma *= cfg.adapt_factor
+def _rebalance(sigma, duals, rp, rd):
+    """Residual balancing (Boyd et al., ADMM, FnT-ML 2011, sec. 3.4.1):
+    scale the step, and the scaled duals inversely, when one relative
+    residual dominates the other."""
+    if rp > _ADAPT_RATIO * rd and sigma * _ADAPT_FACTOR <= 1e6:
+        sigma *= _ADAPT_FACTOR
         for u in duals:
-            u /= cfg.adapt_factor
-    elif rd > cfg.adapt_ratio * rp and sigma / cfg.adapt_factor >= 1e-6:
-        sigma /= cfg.adapt_factor
+            u /= _ADAPT_FACTOR
+    elif rd > _ADAPT_RATIO * rp and sigma / _ADAPT_FACTOR >= 1e-6:
+        sigma /= _ADAPT_FACTOR
         for u in duals:
-            u *= cfg.adapt_factor
+            u *= _ADAPT_FACTOR
     return sigma
 
 
 def _norm(*arrays):
     return float(np.sqrt(sum(np.sum(a * a) for a in arrays)))
+
+
+def _admm(x_proxes, z_step, lift, z0, cfg, name):
+    """Scaled-form ADMM for min sum_i f_i(x_i) + g(z) s.t. x = lift(z).
+
+    x_proxes holds one function per x-block: x_proxes[i](v_i, sigma) is
+    the prox of f_i / sigma at the anchor v_i = lift(z)_i - u_i (each
+    anchor is formed just before its prox, so only one is alive at a
+    time). z_step(t, sigma) returns the z minimizing g(z)
+    + (sigma/2) ||lift(z) - t||^2 at t = x + u; lift is linear and maps
+    the tuple z to the tuple of x-blocks. Stops when the primal and
+    dual residuals, relative to the size of the iterates and of the
+    duals, both fall below the tolerances (Boyd et al., sec. 3.3);
+    otherwise rebalances the step.
+
+    Returns (x, z, iterations, converged, residual_history), with the
+    history an (iterations, 2) array of relative primal/dual residuals.
+
+    Raises
+    ------
+    NumericalError
+        If a residual becomes non-finite.
+    """
+    z = tuple(z0)
+    lz = lift(z)
+    duals = [np.zeros_like(v) for v in lz]
+    sigma = cfg.step
+    history = []
+    converged = False
+    for it in range(cfg.max_iters):
+        x = [prox(v - u, sigma) for prox, v, u in zip(x_proxes, lz, duals)]
+        z_new = z_step([xi + u for xi, u in zip(x, duals)], sigma)
+        dz = [new - old for new, old in zip(z_new, z)]
+        z, lz = z_new, lift(z_new)
+        gap = [xi - v for xi, v in zip(x, lz)]
+        for u, g in zip(duals, gap):
+            u += g
+        prim = _norm(*gap)
+        dual = sigma * _norm(*lift(dz))
+        if not np.isfinite(prim) or not np.isfinite(dual):
+            raise NumericalError(f"{name} diverged (non-finite residuals)")
+        rp = prim / max(_norm(*x), _norm(*lz), _EPS)
+        rd = dual / max(sigma * _norm(*duals), _EPS)
+        history.append((rp, rd))
+        if rp <= cfg.tol_primal and rd <= cfg.tol_dual:
+            converged = True
+            break
+        sigma = _rebalance(sigma, duals, rp, rd)
+    return x, z, it + 1, converged, np.asarray(history)
+
+
+def _floor_spectrum(s, p, pd_floor):
+    """Symmetrize the stack s (K, o, o) and shift each S^k by a multiple of
+    the identity so that S^k - P^k (S^k when p is None) has no eigenvalue
+    below pd_floor. A guard for capped exits; a no-op on converged ones."""
+    s = 0.5 * (s + np.swapaxes(s, -1, -2))
+    lam_min = np.linalg.eigvalsh(s if p is None else s - p).min(axis=-1)
+    low = lam_min < pd_floor
+    if low.any():
+        s[low] += (pd_floor - lam_min[low])[:, None, None] * np.eye(s.shape[-1])
+    return s
 
 
 # ---------------------------------------------------------------------------
@@ -368,93 +440,58 @@ def _norm(*arrays):
 def solve_joint_hidden(covs, w: PenaltyWeights, cfg: SolverConfig = SolverConfig()) -> JointEstimate:
     """Jointly estimate (S_O^k, P^k) for all layers by consensus ADMM.
 
-    Stops when the relative primal and dual residuals both fall below
-    the configured tolerances, with residual-balancing adaptation of the
-    penalty parameter. The returned s_hat carry the exact zeros of the
-    l1 prox; p_hat are exactly PSD.
+    Four x-blocks, one per objective term (log-det barrier, fused l1 on
+    S, trace-plus-PSD on P, fused l1 on P), are tied to the consensus
+    variables (Z_S, Z_P) by x = (Z_S - Z_P, Z_S, Z_P, Z_P). The returned
+    s_hat carry the exact zeros of the l1 prox; p_hat are exactly PSD.
 
     Raises
     ------
     InvalidInput
-        If K > 4 and rho, rho_pair or beta_pair are not uniform across
-        layers (see PenaltyWeights.tied).
+        If a covariance is not finite, or if K > 4 and rho, rho_pair or
+        beta_pair are not uniform across layers (see PenaltyWeights.tied).
     """
-    cov_list = _as_cov_list(covs)
-    k = len(cov_list)
+    cov_stack = _cov_stack(covs)
+    k, o, _ = cov_stack.shape
     if w.n_layers != k:
         raise InvalidInput(f"weights describe {w.n_layers} layers but {k} covariances given")
-    o = cov_list[0].shape[0]
-    if any(c.shape != (o, o) for c in cov_list):
-        raise InvalidInput("covariances must share one dimension")
     s_uniform = _is_uniform(w.rho, w.rho_pair)
     p_uniform = _is_uniform(np.zeros(k), w.beta_pair)
     if k > _MAX_GENERAL_LAYERS and not (s_uniform and p_uniform):
         raise InvalidInput(
             f"non-uniform rho, rho_pair or beta_pair need an exponential-time fused prox; "
             f"K={k} exceeds {_MAX_GENERAL_LAYERS} layers, use PenaltyWeights.tied")
-    cov_stack = np.stack(cov_list)
     s_upper, s_lower = _triangle(o, 0 if w.penalize_diagonal else 1)
     p_upper, p_lower = _triangle(o, 0)
 
-    zs = np.broadcast_to(np.eye(o), (k, o, o)).copy()
-    zp = np.zeros((k, o, o))
-    u_r = np.zeros((k, o, o))
-    u_a = np.zeros((k, o, o))
-    u_b = np.zeros((k, o, o))
-    u_c = np.zeros((k, o, o))
-    sigma = cfg.step
-    history = []
-    converged = False
+    def s_prox(v, sigma):
+        a = _mirrored_fused_update(v, s_upper, s_lower, w.rho, w.rho_pair, sigma, s_uniform)
+        return _project_admissible(a, cfg.admissible_set)
 
-    for it in range(cfg.max_iters):
-        # x-update: independent proxes of the four objective blocks
-        r = _batch_prox_logdet(zs - zp - u_r, cov_stack, sigma)
-        a = _mirrored_fused_update(zs - u_a, s_upper, s_lower, w.rho, w.rho_pair, sigma,
-                                   s_uniform)
-        a = _project_admissible(a, cfg.admissible_set)
-        b = _batch_prox_psd_trace(zp - u_b, w.beta / sigma)
-        c = _mirrored_fused_update(zp - u_c, p_upper, p_lower, np.zeros(k), w.beta_pair,
-                                   sigma, p_uniform)
+    def p_fused_prox(v, sigma):
+        return _mirrored_fused_update(v, p_upper, p_lower, np.zeros(k), w.beta_pair, sigma,
+                                      p_uniform)
 
-        # z-update: least-squares consensus for x = (Z_S - Z_P, Z_S, Z_P, Z_P)
-        ta, tb, tc, td = r + u_r, a + u_a, b + u_b, c + u_c
-        zs_new = (2.0 * ta + 3.0 * tb + tc + td) / 5.0
-        zp_new = (-ta + tb + 2.0 * tc + 2.0 * td) / 5.0
-        dzs, dzp = zs_new - zs, zp_new - zp
-        zs, zp = zs_new, zp_new
+    x_proxes = (lambda v, sigma: prox_logdet(v, cov_stack, sigma), s_prox,
+                lambda v, sigma: prox_psd_trace(v, w.beta / sigma), p_fused_prox)
 
-        u_r += r - (zs - zp)
-        u_a += a - zs
-        u_b += b - zp
-        u_c += c - zp
+    def z_step(t, sigma):
+        # least-squares consensus for x = (Z_S - Z_P, Z_S, Z_P, Z_P)
+        ta, tb, tc, td = t
+        return (2.0 * ta + 3.0 * tb + tc + td) / 5.0, (-ta + tb + 2.0 * tc + 2.0 * td) / 5.0
 
-        prim = _norm(r - (zs - zp), a - zs, b - zp, c - zp)
-        dual = sigma * _norm(dzs - dzp, dzs, dzp, dzp)
-        if not np.isfinite(prim) or not np.isfinite(dual):
-            raise NumericalError("joint solver diverged (non-finite residuals)")
-        scale_p = max(_norm(r, a, b, c), _norm(zs - zp, zs, zp, zp), _EPS)
-        scale_d = max(sigma * _norm(u_r, u_a, u_b, u_c), _EPS)
-        rp, rd = prim / scale_p, dual / scale_d
-        history.append((rp, rd))
-        if rp <= cfg.tol_primal and rd <= cfg.tol_dual:
-            converged = True
-            break
-        sigma = _rebalance(sigma, (u_r, u_a, u_b, u_c), rp, rd, cfg)
-
-    s_hat = [symmetrize(a[i]) for i in range(k)]
-    p_hat = [symmetrize(b[i]) for i in range(k)]
-    for i in range(k):
-        # feasibility guard for non-converged exits; no-op once converged
-        lam_min = np.linalg.eigvalsh(s_hat[i] - p_hat[i]).min()
-        if lam_min < cfg.pd_floor / 2:
-            s_hat[i] = s_hat[i] + (cfg.pd_floor - lam_min) * np.eye(o)
+    z0 = (np.broadcast_to(np.eye(o), (k, o, o)).copy(), np.zeros((k, o, o)))
+    x, _, iterations, converged, history = _admm(
+        x_proxes, z_step, lambda z: (z[0] - z[1], z[0], z[1], z[1]), z0, cfg, "joint solver")
+    p_hat = 0.5 * (x[2] + np.swapaxes(x[2], 1, 2))
+    s_hat = _floor_spectrum(x[1], p_hat, cfg.pd_floor)
     return JointEstimate(
         s_hat=tuple(s_hat),
         p_hat=tuple(p_hat),
-        objective=joint_objective(s_hat, p_hat, cov_list, w),
-        iterations=it + 1,
+        objective=joint_objective(s_hat, p_hat, cov_stack, w),
+        iterations=iterations,
         converged=converged,
-        residual_history=np.asarray(history),
+        residual_history=history,
     )
 
 
@@ -467,45 +504,35 @@ def solve_lvgl(cov, rho: float, beta: float, cfg: SolverConfig = SolverConfig(),
     (S_O, P).
     """
     w = PenaltyWeights.tied(1, rho, beta, penalize_diagonal=penalize_diagonal)
-    est = solve_joint_hidden([symmetrize(cov)], w, cfg)
+    est = solve_joint_hidden([cov], w, cfg)
     return est.s_hat[0], est.p_hat[0]
 
 
 # ---------------------------------------------------------------------------
-# Baselines with their own 2-block loops (kept independent of the joint
-# engine so the reduction identities are meaningful cross-checks)
+# Baselines: one x-block each, with their own prox steps (kept independent
+# of the joint prox steps so the reduction identities are meaningful
+# cross-checks)
 # ---------------------------------------------------------------------------
+
+def _identity(z):
+    return z
+
 
 def solve_gl(cov, lam: float, cfg: SolverConfig = SolverConfig(),
              penalize_diagonal: bool = False):
     """Graphical lasso via ADMM on tr(SC) - logdet S + lam ||S||_1."""
     if lam < 0:
         raise InvalidInput(f"lambda must be nonnegative, got {lam}")
-    c = symmetrize(cov)
-    o = c.shape[0]
-    s = np.eye(o)
-    u = np.zeros((o, o))
-    sigma = cfg.step
-    for _ in range(cfg.max_iters):
-        r = prox_logdet(s - u, c, sigma)
-        s_new = soft_threshold(r + u, lam / sigma, penalize_diagonal)
-        s_new = _project_admissible(s_new, cfg.admissible_set)
-        prim = _norm(r - s_new)
-        dual = sigma * _norm(s_new - s)
-        if not np.isfinite(prim):
-            raise NumericalError("graphical lasso diverged")
-        s = s_new
-        u += r - s
-        rp = prim / max(_norm(r), _norm(s), _EPS)
-        rd = dual / max(sigma * _norm(u), _EPS)
-        if rp <= cfg.tol_primal and rd <= cfg.tol_dual:
-            break
-        sigma = _rebalance(sigma, (u,), rp, rd, cfg)
-    s = symmetrize(s)
-    lam_min = np.linalg.eigvalsh(s).min()
-    if lam_min < cfg.pd_floor:
-        s = s + (cfg.pd_floor - lam_min) * np.eye(o)
-    return s
+    c = _cov_stack([cov])[0]
+
+    def z_step(t, sigma):
+        s = soft_threshold(t[0], lam / sigma, penalize_diagonal)
+        return (_project_admissible(s, cfg.admissible_set),)
+
+    x_proxes = (lambda v, sigma: symmetrize(prox_logdet(v, c, sigma)),)
+    _, z, _, _, _ = _admm(x_proxes, z_step, _identity, (np.eye(c.shape[0]),), cfg,
+                          "graphical lasso")
+    return _floor_spectrum(z[0][None], None, cfg.pd_floor)[0]
 
 
 def solve_ggl(covs, lambda1: float, lambda2: float, cfg: SolverConfig = SolverConfig(),
@@ -518,45 +545,23 @@ def solve_ggl(covs, lambda1: float, lambda2: float, cfg: SolverConfig = SolverCo
     """
     if lambda1 < 0 or lambda2 < 0:
         raise InvalidInput("lambda1 and lambda2 must be nonnegative")
-    cov_list = _as_cov_list(covs)
-    k = len(cov_list)
-    o = cov_list[0].shape[0]
-    if any(c.shape != (o, o) for c in cov_list):
-        raise InvalidInput("covariances must share one dimension")
-    cov_stack = np.stack(cov_list)
+    cov_stack = _cov_stack(covs)
+    k, o, _ = cov_stack.shape
     diag = np.eye(o, dtype=bool)
-    s = np.broadcast_to(np.eye(o), (k, o, o)).copy()
-    u = np.zeros((k, o, o))
-    sigma = cfg.step
-    for _ in range(cfg.max_iters):
-        r = _batch_prox_logdet(s - u, cov_stack, sigma)
-        v = r + u
+
+    def z_step(t, sigma):
+        v = t[0]
         z = np.sign(v) * np.maximum(np.abs(v) - lambda1 / sigma, 0.0)
         group = np.sqrt(np.sum(z * z, axis=0))
-        shrink = np.maximum(0.0, 1.0 - (lambda2 / sigma) / np.maximum(group, 1e-300))
-        z = z * shrink
+        z = z * np.maximum(0.0, 1.0 - (lambda2 / sigma) / np.maximum(group, 1e-300))
         if not penalize_diagonal:
             z[:, diag] = v[:, diag]
-        z = _project_admissible(z, cfg.admissible_set)
-        prim = _norm(r - z)
-        dual = sigma * _norm(z - s)
-        if not np.isfinite(prim):
-            raise NumericalError("group graphical lasso diverged")
-        s = z
-        u += r - s
-        rp = prim / max(_norm(r), _norm(s), _EPS)
-        rd = dual / max(sigma * _norm(u), _EPS)
-        if rp <= cfg.tol_primal and rd <= cfg.tol_dual:
-            break
-        sigma = _rebalance(sigma, (u,), rp, rd, cfg)
-    out = []
-    for i in range(k):
-        si = symmetrize(s[i])
-        lam_min = np.linalg.eigvalsh(si).min()
-        if lam_min < cfg.pd_floor:
-            si = si + (cfg.pd_floor - lam_min) * np.eye(o)
-        out.append(si)
-    return out
+        return (_project_admissible(z, cfg.admissible_set),)
+
+    z0 = (np.broadcast_to(np.eye(o), (k, o, o)).copy(),)
+    x_proxes = (lambda v, sigma: prox_logdet(v, cov_stack, sigma),)
+    _, z, _, _, _ = _admm(x_proxes, z_step, _identity, z0, cfg, "group graphical lasso")
+    return list(_floor_spectrum(z[0], None, cfg.pd_floor))
 
 
 # ---------------------------------------------------------------------------

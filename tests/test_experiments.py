@@ -13,9 +13,6 @@ from ggm.experiments import (
     parse_config_file,
     realize_cell,
     run_experiment,
-    run_test_case_1,
-    run_test_case_2,
-    run_test_case_3,
     write_manifest,
 )
 from ggm.io import write_matrix_csv
@@ -71,14 +68,6 @@ def test_config_rejections(tmp_path):
         build_config("tc1", parse_config_file(path))
 
 
-def test_experiment_runner_guards():
-    cfg = tiny_tc1()
-    with pytest.raises(ConfigError):
-        run_test_case_2(cfg)
-    with pytest.raises(ConfigError):
-        run_test_case_3(cfg)
-
-
 def test_seed_derivation_is_method_independent():
     a = derive_cell_seeds(3, 1, 4)
     b = derive_cell_seeds(3, 1, 4)
@@ -102,7 +91,7 @@ def test_realize_cell_matched_data():
 
 def test_tc1_table_and_k1_joint_equals_lvgl(tmp_path):
     cfg = tiny_tc1()
-    result = run_test_case_1(cfg)
+    result = run_experiment(cfg)
     assert result.table.xaxis == (1, 2)
     assert result.table.errors.shape == (2, 4)
     assert result.mc_invocations == 4 * 2 * 2
@@ -126,8 +115,8 @@ def test_tc1_table_and_k1_joint_equals_lvgl(tmp_path):
 
 def test_tc1_rerun_byte_identical(tmp_path):
     cfg = tiny_tc1()
-    a = run_test_case_1(cfg)
-    b = run_test_case_1(cfg)
+    a = run_experiment(cfg)
+    b = run_experiment(cfg)
     pa, pb = tmp_path / "a.csv", tmp_path / "b.csv"
     emit_csv(a.table, pa)
     emit_csv(b.table, pb)
@@ -135,8 +124,8 @@ def test_tc1_rerun_byte_identical(tmp_path):
 
 
 def test_tc1_worker_count_independent(tmp_path):
-    serial = run_test_case_1(tiny_tc1(workers=1))
-    pooled = run_test_case_1(tiny_tc1(workers=2))
+    serial = run_experiment(tiny_tc1(workers=1))
+    pooled = run_experiment(tiny_tc1(workers=2))
     assert np.array_equal(serial.raw_errors, pooled.raw_errors)
     pa, pb = tmp_path / "serial.csv", tmp_path / "pooled.csv"
     emit_csv(serial.table, pa)
@@ -147,7 +136,7 @@ def test_tc1_worker_count_independent(tmp_path):
 def test_tc2_sample_growth_helps_each_method():
     cfg = build_config("tc2", {}, n=10, n_hidden=1, m_sweep=(50, 5000),
                        n_realizations=1, base_seed=3, **TINY_GRIDS)
-    result = run_test_case_2(cfg)
+    result = run_experiment(cfg)
     assert result.table.xaxis == (50, 5000)
     small, large = result.table.errors
     assert np.all(large < small)
@@ -157,9 +146,9 @@ def test_tc3_synthetic_substitute_axis():
     cfg = build_config("tc3", {}, n=10, k=2, o_sweep=(8, 10), m=60,
                        synthetic_substitute=True, n_realizations=1,
                        base_seed=11, **TINY_GRIDS)
-    result = run_test_case_3(cfg)
+    result = run_experiment(cfg)
     assert result.table.xaxis == (8, 10)
-    rerun = run_test_case_3(cfg)
+    rerun = run_experiment(cfg)
     assert np.array_equal(result.raw_errors, rerun.raw_errors)
 
 
@@ -172,7 +161,7 @@ def test_tc3_real_files(tmp_path):
     cfg = build_config("tc3", {}, n=6, k=2, o_sweep=(5, 6), m=40,
                        data_files=(str(a), str(b)), binarize=True,
                        n_realizations=1, base_seed=0, **TINY_GRIDS)
-    result = run_test_case_3(cfg)
+    result = run_experiment(cfg)
     assert result.table.errors.shape == (2, 4)
 
 

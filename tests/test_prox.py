@@ -7,7 +7,6 @@ from hypothesis import strategies as st
 
 from ggm.errors import InvalidInput
 from ggm.prox import (
-    eigh,
     fused_prox_stack,
     prox_fused_l1,
     prox_logdet,
@@ -31,42 +30,8 @@ def sym(rng, n, scale=1.0):
 
 
 # ---------------------------------------------------------------------------
-# eigh
+# symmetrize
 # ---------------------------------------------------------------------------
-
-def test_eigh_identity():
-    d = eigh(np.eye(3))
-    assert np.allclose(d.eigenvalues, [1, 1, 1])
-
-
-def test_eigh_diagonal_sorted_ascending():
-    d = eigh(np.diag([3.0, 1.0]))
-    assert np.allclose(d.eigenvalues, [1.0, 3.0])
-    # axis-aligned eigenvectors, up to sign
-    assert np.allclose(np.abs(d.eigenvectors), np.eye(2)[:, [1, 0]])
-
-
-def test_eigh_hand_characteristic_polynomial():
-    # det([[2-l,1],[1,2-l]]) = l^2 - 4l + 3 -> eigenvalues 1 and 3
-    d = eigh(np.array([[2.0, 1.0], [1.0, 2.0]]))
-    assert np.allclose(d.eigenvalues, [1.0, 3.0], atol=1e-12)
-
-
-def test_eigh_invariants_random():
-    rng = np.random.default_rng(0)
-    for _ in range(50):
-        a = sym(rng, int(rng.integers(1, 12)), scale=3.0)
-        w, q = eigh(a)
-        recon = (q * w) @ q.T
-        assert np.linalg.norm(recon - a) / max(1.0, np.linalg.norm(a)) <= 1e-10
-        assert np.linalg.norm(q.T @ q - np.eye(a.shape[0])) <= 1e-10
-        assert np.all(np.diff(w) >= 0)
-
-
-def test_eigh_rejects_nonfinite():
-    with pytest.raises(InvalidInput):
-        eigh(np.array([[np.nan, 0.0], [0.0, 1.0]]))
-
 
 def test_symmetrize_rejects_nonsquare():
     with pytest.raises(InvalidInput):
@@ -188,6 +153,46 @@ def test_prox_psd_trace_optimal_among_psd_perturbations():
 def test_prox_psd_trace_rejects_negative_kappa():
     with pytest.raises(InvalidInput):
         prox_psd_trace(np.eye(2), -1.0)
+
+
+# ---------------------------------------------------------------------------
+# stacks of matrices
+# ---------------------------------------------------------------------------
+
+@pytest.mark.parametrize("o", [1, 5, 18])
+def test_prox_logdet_stack_equals_per_matrix_calls(o):
+    rng = np.random.default_rng(o)
+    a = np.stack([sym(rng, o) for _ in range(4)])
+    c = np.stack([sym(rng, o, 0.5) for _ in range(4)])
+    out = prox_logdet(a, c, 1.7)
+    assert out.shape == (4, o, o)
+    for i in range(4):
+        assert np.array_equal(out[i], prox_logdet(a[i], c[i], 1.7))
+
+
+@pytest.mark.parametrize("o", [1, 5, 18])
+def test_prox_psd_trace_stack_equals_per_matrix_calls(o):
+    rng = np.random.default_rng(10 + o)
+    a = np.stack([sym(rng, o, 2.0) for _ in range(4)])
+    kappa = np.array([0.0, 0.3, 1.0, 2.5])
+    out = prox_psd_trace(a, kappa)
+    assert out.shape == (4, o, o)
+    for i in range(4):
+        assert np.array_equal(out[i], prox_psd_trace(a[i], kappa[i]))
+    # a scalar kappa serves every matrix
+    assert np.array_equal(prox_psd_trace(a, 0.3)[1], out[1])
+
+
+def test_stack_kernels_reject_bad_arguments():
+    a = np.broadcast_to(np.eye(3), (2, 3, 3))
+    with pytest.raises(InvalidInput):
+        prox_psd_trace(a, np.array([0.1, -0.1]))       # negative weight
+    with pytest.raises(InvalidInput):
+        prox_psd_trace(a, np.array([0.1, 0.2, 0.3]))   # not one weight per matrix
+    with pytest.raises(InvalidInput):
+        prox_logdet(a, np.eye(3), 1.0)                 # a and c differ in shape
+    with pytest.raises(InvalidInput):
+        prox_logdet(np.zeros((2, 3, 4)), np.zeros((2, 3, 4)), 1.0)
 
 
 # ---------------------------------------------------------------------------

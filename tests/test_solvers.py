@@ -118,6 +118,24 @@ def test_joint_estimate_invariants():
     assert est.residual_history.shape == (est.iterations, 2)
 
 
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+@pytest.mark.parametrize("method", ["GL", "GGL", "LVGL", "Joint"])
+def test_solvers_reject_nonfinite_covariance(method, bad):
+    good = np.eye(3)
+    cov = np.eye(3)
+    cov[0, 2] = cov[2, 0] = bad
+    cfg = SolverConfig(max_iters=2)
+    solve = {
+        "GL": lambda: solve_gl(cov, 0.1, cfg),
+        "GGL": lambda: solve_ggl([good, cov], 0.1, 0.1, cfg),
+        "LVGL": lambda: solve_lvgl(cov, 0.1, 0.1, cfg),
+        "Joint": lambda: solve_joint_hidden([good, cov], PenaltyWeights.tied(2, 0.1, 0.1), cfg),
+    }[method]
+    layer = 0 if method in ("GL", "LVGL") else 1
+    with pytest.raises(InvalidInput, match=f"layer {layer} has non-finite"):
+        solve()
+
+
 def test_joint_deterministic():
     rng = np.random.default_rng(4)
     covs = ObservedCovariances(tuple(random_tiny_instance(rng, o=4, k=2)), (100, 100))
