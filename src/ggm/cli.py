@@ -56,9 +56,20 @@ def _add_weight_args(parser):
     parser.add_argument("--beta-pair", type=float, default=0.0, help="fused weight on P pairs")
 
 
-def _load_covs(paths):
-    covs = tuple(read_sym_matrix_csv(p) for p in paths)
-    return ObservedCovariances(covs, tuple(1 for _ in covs))
+def _load_problem(args):
+    """The --covs files and tied PenaltyWeights from the weight flags."""
+    covs = ObservedCovariances(tuple(read_sym_matrix_csv(p) for p in args.covs),
+                               (1,) * len(args.covs))
+    return covs, PenaltyWeights.tied(covs.n_layers, args.rho, args.beta,
+                                     args.rho_pair, args.beta_pair)
+
+
+def _write_estimates(est, out_dir):
+    """Write s_hat_k.csv and p_hat_k.csv, k = 1..K, into out_dir."""
+    os.makedirs(out_dir, exist_ok=True)
+    for i, (s, p) in enumerate(zip(est.s_hat, est.p_hat), start=1):
+        write_matrix_csv(s, os.path.join(out_dir, f"s_hat_{i}.csv"))
+        write_matrix_csv(p, os.path.join(out_dir, f"p_hat_{i}.csv"))
 
 
 def cmd_run(args, overrides):
@@ -78,15 +89,10 @@ def cmd_run(args, overrides):
 
 
 def cmd_solve(args):
-    covs = _load_covs(args.covs)
-    weights = PenaltyWeights.tied(covs.n_layers, args.rho, args.beta,
-                                  args.rho_pair, args.beta_pair)
+    covs, weights = _load_problem(args)
     cfg = SolverConfig(max_iters=args.max_iters, tol_primal=args.tol, tol_dual=args.tol)
     est = solve_joint_hidden(covs, weights, cfg)
-    os.makedirs(args.out, exist_ok=True)
-    for i, (s, p) in enumerate(zip(est.s_hat, est.p_hat), start=1):
-        write_matrix_csv(s, os.path.join(args.out, f"s_hat_{i}.csv"))
-        write_matrix_csv(p, os.path.join(args.out, f"p_hat_{i}.csv"))
+    _write_estimates(est, args.out)
     status = "converged" if est.converged else "max-iters"
     print(f"objective = {est.objective:.10g} after {est.iterations} iterations ({status}); "
           f"estimates in {args.out}")
@@ -94,15 +100,10 @@ def cmd_solve(args):
 
 
 def cmd_oracle(args):
-    covs = _load_covs(args.covs)
-    weights = PenaltyWeights.tied(covs.n_layers, args.rho, args.beta,
-                                  args.rho_pair, args.beta_pair)
+    covs, weights = _load_problem(args)
     sol = reference_oracle(JointProblem(covs.covs, weights), budget=args.budget)
     if args.out:
-        os.makedirs(args.out, exist_ok=True)
-        for i, (s, p) in enumerate(zip(sol.s_hat, sol.p_hat), start=1):
-            write_matrix_csv(s, os.path.join(args.out, f"s_hat_{i}.csv"))
-            write_matrix_csv(p, os.path.join(args.out, f"p_hat_{i}.csv"))
+        _write_estimates(sol, args.out)
     print(f"oracle objective = {sol.objective:.10g}")
     return 0
 

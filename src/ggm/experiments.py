@@ -4,14 +4,19 @@ realization, and CSV emission of the per-sweep mean errors.
 
 Every cell (sweep value, realization) derives its seeds from
 (base_seed, sweep index, realization index) only, so all four methods
-see identical data and reruns are byte-identical regardless of the
-worker count.
+see identical data. Selection is one task per sweep value x method on
+the held-out cell, run on the same process pool as the Monte Carlo
+cells and reduced in grid order in the parent, so reruns are
+byte-identical and the result does not depend on the worker count.
 """
+import ctypes
 import math
 import os
 import time
 from concurrent.futures import ProcessPoolExecutor
+from contextlib import nullcontext
 from dataclasses import dataclass, fields
+from itertools import repeat
 
 import numpy as np
 
@@ -35,6 +40,10 @@ METHODS = ("GL", "GGL", "LVGL", "Joint")
 EXPERIMENTS = ("tc1", "tc2", "tc3")
 
 _SUBSTITUTE_TAG = 980131   # seed tag for the synthetic 32-node stand-in
+# OpenBLAS's thread-count setter under the names of its plain, 64-bit-index
+# and numpy/scipy-wheel builds.
+_OPENBLAS_SETTERS = ("openblas_set_num_threads", "openblas_set_num_threads64_",
+                     "scipy_openblas_set_num_threads", "scipy_openblas_set_num_threads64_")
 
 
 def _logspace(lo_exp, hi_exp, num):
@@ -206,6 +215,12 @@ class MethodParams:
     joint_beta: float
     joint_eta: float
 
+    def hyperparameters(self, method: str) -> tuple:
+        """One method's tuple, laid out as _grid yields it."""
+        return {"GL": (self.gl_lam,), "GGL": (self.ggl_l1, self.ggl_l2),
+                "LVGL": (self.lv_rho, self.lv_beta),
+                "Joint": (self.joint_rho, self.joint_beta, self.joint_eta)}[method]
+
 
 @dataclass(frozen=True)
 class ResultTable:
@@ -223,6 +238,8 @@ class RunResult:
     mc_invocations: int
     selection_invocations: int
     runtime_seconds: float
+    selection_seconds: float
+    monte_carlo_seconds: float
     config: ExperimentConfig
 
 
@@ -300,79 +317,79 @@ def realize_cell(cfg: ExperimentConfig, sweep_index: int, realization: int,
 
 
 # ---------------------------------------------------------------------------
-# Method execution and hyperparameter selection
+# Cell scoring and hyperparameter selection
 # ---------------------------------------------------------------------------
 
-def run_methods(covs, truths, params: MethodParams, solver_cfg: SolverConfig) -> np.ndarray:
-    """Errors of the four methods on one data set, in METHODS order."""
-    n_layers = covs.n_layers
-    gl = [solve_gl(c, params.gl_lam, solver_cfg) for c in covs.covs]
-    ggl = solve_ggl(covs, params.ggl_l1, params.ggl_l2, solver_cfg)
-    lvgl = [solve_lvgl(c, params.lv_rho, params.lv_beta, solver_cfg)[0] for c in covs.covs]
-    weights = PenaltyWeights.tied(
-        n_layers, params.joint_rho, params.joint_beta,
-        params.joint_rho * params.joint_eta, params.joint_beta * params.joint_eta)
-    joint = solve_joint_hidden(covs, weights, solver_cfg).s_hat
-    return np.array([
-        mean_normalized_error(gl, truths),
-        mean_normalized_error(ggl, truths),
-        mean_normalized_error(lvgl, truths),
-        mean_normalized_error(list(joint), truths),
-    ])
+def _grid(cfg: ExperimentConfig, method: str) -> list:
+    """A method's candidate hyperparameter tuples, in selection order."""
+    rho, beta, eta = cfg.rho_grid, cfg.beta_grid, cfg.eta_grid
+    return {
+        "GL": [(lam,) for lam in rho],
+        "GGL": [(l1, l2) for l1 in rho for l2 in rho],
+        "LVGL": [(r, b) for r in rho for b in beta],
+        "Joint": [(r, b, e) for r in rho for b in beta for e in eta],
+    }[method]
 
 
-def select_params(cfg: ExperimentConfig, sweep_index: int, fixed_graphs=None):
-    """Grid-search each method on the held-out realization of one sweep value.
-
-    The held-out realization index equals n_realizations, so it never
-    appears in the Monte Carlo set. Ties resolve to the first grid point.
-    Returns (params, number of method invocations spent).
-    """
-    solver_cfg = cfg.solver_config()
-    covs, truths = realize_cell(cfg, sweep_index, cfg.n_realizations, fixed_graphs)
-    spent = 0
-
-    def best(candidates, runner):
-        nonlocal spent
-        best_err, best_c = np.inf, None
-        for cand in candidates:
-            err = runner(cand)
-            spent += 1
-            if err < best_err:
-                best_err, best_c = err, cand
-        return best_c
-
-    gl_lam = best(cfg.rho_grid, lambda lam: mean_normalized_error(
-        [solve_gl(c, lam, solver_cfg) for c in covs.covs], truths))
-    ggl_l1, ggl_l2 = best(
-        [(l1, l2) for l1 in cfg.rho_grid for l2 in cfg.rho_grid],
-        lambda c: mean_normalized_error(solve_ggl(covs, c[0], c[1], solver_cfg), truths))
-    lv_rho, lv_beta = best(
-        [(r, b) for r in cfg.rho_grid for b in cfg.beta_grid],
-        lambda c: mean_normalized_error(
-            [solve_lvgl(cov, c[0], c[1], solver_cfg)[0] for cov in covs.covs], truths))
-
-    def joint_err(c):
-        rho, beta, eta = c
-        w = PenaltyWeights.tied(covs.n_layers, rho, beta, rho * eta, beta * eta)
-        return mean_normalized_error(list(solve_joint_hidden(covs, w, solver_cfg).s_hat), truths)
-
-    joint_rho, joint_beta, joint_eta = best(
-        [(r, b, e) for r in cfg.rho_grid for b in cfg.beta_grid for e in cfg.eta_grid],
-        joint_err)
-    params = MethodParams(gl_lam, ggl_l1, ggl_l2, lv_rho, lv_beta,
-                          joint_rho, joint_beta, joint_eta)
-    return params, spent
+def _estimate(method: str, covs, hp: tuple, solver_cfg: SolverConfig) -> list:
+    """One method's S_O estimates, one per layer, at hyperparameters hp."""
+    if method == "GL":
+        return [solve_gl(c, hp[0], solver_cfg) for c in covs.covs]
+    if method == "GGL":
+        return solve_ggl(covs, hp[0], hp[1], solver_cfg)
+    if method == "LVGL":
+        return [solve_lvgl(c, hp[0], hp[1], solver_cfg)[0] for c in covs.covs]
+    rho, beta, eta = hp
+    weights = PenaltyWeights.tied(covs.n_layers, rho, beta, rho * eta, beta * eta)
+    return list(solve_joint_hidden(covs, weights, solver_cfg).s_hat)
 
 
-def _mc_cell(cfg: ExperimentConfig, sweep_index: int, realization: int,
-             params: MethodParams, fixed_graphs):
+def _score_cell(cfg: ExperimentConfig, sweep_index: int, realization: int,
+                fixed_graphs, jobs) -> list:
+    """Realize one cell once and return the error of each (method, hp) job."""
     covs, truths = realize_cell(cfg, sweep_index, realization, fixed_graphs)
-    return run_methods(covs, truths, params, cfg.solver_config())
+    solver_cfg = cfg.solver_config()
+    return [mean_normalized_error(_estimate(method, covs, hp, solver_cfg), truths)
+            for method, hp in jobs]
 
 
-def _mc_cell_star(args):
-    return _mc_cell(*args)
+def _score_cells(mapper, cfg: ExperimentConfig, fixed_graphs, cells) -> list:
+    """Map _score_cell over (sweep_index, realization, jobs) cells, in order."""
+    sweep_indices, realizations, jobs = zip(*cells)
+    return list(mapper(_score_cell, repeat(cfg), sweep_indices, realizations,
+                       repeat(fixed_graphs), jobs))
+
+
+def _one_blas_thread():
+    """Pool initializer: run this worker's OpenBLAS on one thread, unless
+    OPENBLAS_NUM_THREADS sets a count. The pool already fills the cores, and
+    workers forked from a parent with a threaded BLAS oversubscribe them: a
+    tc3 run at O = 32 took four times the wall time on 2 cores."""
+    if "OPENBLAS_NUM_THREADS" in os.environ:
+        return
+    try:
+        with open("/proc/self/maps", encoding="utf-8") as fh:
+            paths = {line.split(maxsplit=5)[5].strip() for line in fh if "openblas" in line}
+        libs = [ctypes.CDLL(path) for path in paths]
+    except OSError:
+        return
+    for lib in libs:
+        for name in _OPENBLAS_SETTERS:
+            if hasattr(lib, name):
+                getattr(lib, name)(1)
+
+
+def select_params(cfg: ExperimentConfig, held_out_errors: dict) -> MethodParams:
+    """Reduce one sweep value's held-out errors, which map each method to its
+    errors over _grid(cfg, method), to the first grid point of least error."""
+    chosen = []
+    for method in METHODS:
+        best_err, best_hp = np.inf, None
+        for hp, err in zip(_grid(cfg, method), held_out_errors[method]):
+            if err < best_err:
+                best_err, best_hp = err, hp
+        chosen.extend(best_hp)
+    return MethodParams(*chosen)
 
 
 # ---------------------------------------------------------------------------
@@ -381,37 +398,45 @@ def _mc_cell_star(args):
 
 def run_experiment(cfg: ExperimentConfig) -> RunResult:
     """Run the configured sweep: per sweep value, select hyperparameters on
-    the held-out realization, then score all methods on every Monte Carlo
-    realization (optionally on a process pool)."""
+    the held-out realization (index n_realizations, never a Monte Carlo
+    one), then score all methods on every Monte Carlo realization. Both
+    phases map one task function over the same process pool (the builtin
+    map when workers = 1)."""
     start = time.time()
     fixed_graphs = load_tc3_layers(cfg) if cfg.experiment == "tc3" else None
-    sweep = cfg.sweep
-    selected = {}
-    selection_spent = 0
-    for si in range(len(sweep)):
-        params, spent = select_params(cfg, si, fixed_graphs)
-        selected[sweep[si]] = params
-        selection_spent += spent
+    sweep_indices = range(len(cfg.sweep))
+    with ProcessPoolExecutor(cfg.workers, initializer=_one_blas_thread) \
+            if cfg.workers > 1 else nullcontext() as pool:
+        mapper = pool.map if pool else map
+        # Joint's grid, then LVGL's, is most of the selection time: queue them first.
+        selection = [(si, method) for method in reversed(METHODS) for si in sweep_indices]
+        held_out = _score_cells(
+            mapper, cfg, fixed_graphs,
+            [(si, cfg.n_realizations, [(method, hp) for hp in _grid(cfg, method)])
+             for si, method in selection])
+        by_cell = dict(zip(selection, held_out))
+        selected = {cfg.sweep[si]: select_params(
+            cfg, {method: by_cell[si, method] for method in METHODS}) for si in sweep_indices}
+        selection_seconds = time.time() - start
 
-    tasks = [(cfg, si, r, selected[sweep[si]], fixed_graphs)
-             for si in range(len(sweep)) for r in range(cfg.n_realizations)]
-    if cfg.workers > 1:
-        with ProcessPoolExecutor(max_workers=cfg.workers) as pool:
-            cell_errors = list(pool.map(_mc_cell_star, tasks, chunksize=1))
-    else:
-        cell_errors = [_mc_cell_star(t) for t in tasks]
+        cells = [(si, r, [(method, selected[cfg.sweep[si]].hyperparameters(method))
+                          for method in METHODS])
+                 for si in sweep_indices for r in range(cfg.n_realizations)]
+        cell_errors = _score_cells(mapper, cfg, fixed_graphs, cells)
 
-    raw = np.empty((len(sweep), len(METHODS), cfg.n_realizations))
-    for idx, (_, si, r, _, _) in enumerate(tasks):
-        raw[si, :, r] = cell_errors[idx]
-    table = ResultTable(tuple(sweep), raw.mean(axis=2))
+    raw = np.empty((len(cfg.sweep), len(METHODS), cfg.n_realizations))
+    for (si, r, _), errors in zip(cells, cell_errors):
+        raw[si, :, r] = errors
+    runtime = time.time() - start
     return RunResult(
-        table=table,
+        table=ResultTable(tuple(cfg.sweep), raw.mean(axis=2)),
         raw_errors=raw,
         selected=selected,
-        mc_invocations=len(METHODS) * len(cell_errors),
-        selection_invocations=selection_spent,
-        runtime_seconds=time.time() - start,
+        mc_invocations=len(METHODS) * len(cells),
+        selection_invocations=sum(len(errors) for errors in held_out),
+        runtime_seconds=runtime,
+        selection_seconds=selection_seconds,
+        monte_carlo_seconds=runtime - selection_seconds,
         config=cfg,
     )
 
@@ -453,6 +478,8 @@ def write_manifest(result: RunResult, csv_path) -> str:
     lines.append(f"mc_method_invocations = {result.mc_invocations} (expected {expected})")
     lines.append(f"selection_method_invocations = {result.selection_invocations}")
     lines.append(f"runtime_seconds = {result.runtime_seconds:.3f}")
+    lines.append(f"selection_seconds = {result.selection_seconds:.3f}")
+    lines.append(f"monte_carlo_seconds = {result.monte_carlo_seconds:.3f}")
     path = manifest_path(csv_path)
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
         fh.write("\n".join(lines) + "\n")

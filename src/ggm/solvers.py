@@ -603,15 +603,13 @@ class OracleSolution:
 
 
 def _oracle_pieces(problem):
-    """(cov_list, objective(s_stack, p_stack), subgrad(s, p), has_latent)."""
+    """(cov_stack, objective(s_stack, p_stack), subgrad(s, p), has_latent)."""
     if isinstance(problem, JointProblem):
-        covs = [symmetrize(c) for c in problem.covs]
+        cov_stack = _cov_stack(problem.covs)
         w = problem.weights
-        k = len(covs)
-        o = covs[0].shape[0]
+        k, o = cov_stack.shape[:2]
         offmask = np.ones((o, o)) if w.penalize_diagonal else 1.0 - np.eye(o)
-        cov_stack = np.stack(covs)
-        observed = ObservedCovariances(tuple(covs), (1,) * k)
+        observed = ObservedCovariances(tuple(cov_stack), (1,) * k)
         rho = w.rho[:, None, None]
         beta_eye = w.beta[:, None, None] * np.eye(o)
 
@@ -631,14 +629,13 @@ def _oracle_pieces(problem):
                     gp[j] -= w.beta_pair[i, j] * pg
             return gs, gp
 
-        return covs, objective, subgrad, True
+        return cov_stack, objective, subgrad, True
 
     if isinstance(problem, GGLProblem):
-        covs = [symmetrize(c) for c in problem.covs]
-        o = covs[0].shape[0]
+        cov_stack = _cov_stack(problem.covs)
+        k, o = cov_stack.shape[:2]
         offmask = np.ones((o, o)) if problem.penalize_diagonal else 1.0 - np.eye(o)
-        cov_stack = np.stack(covs)
-        observed = ObservedCovariances(tuple(covs), (1,) * len(covs))
+        observed = ObservedCovariances(tuple(cov_stack), (1,) * k)
 
         def objective(s, p):
             return ggl_objective(s, observed, problem.lambda1, problem.lambda2,
@@ -651,7 +648,7 @@ def _oracle_pieces(problem):
             gs += problem.lambda2 * masked / np.maximum(nrm, 1e-300)
             return gs, np.zeros_like(gs)
 
-        return covs, objective, subgrad, False
+        return cov_stack, objective, subgrad, False
 
     if isinstance(problem, GLProblem):
         return _oracle_pieces(GGLProblem((problem.cov,), problem.lam, 0.0,
@@ -670,9 +667,8 @@ def reference_oracle(problem, budget: int = 100_000, step0: float = 0.5,
     onto the PSD cone and S - P onto {min eig >= pd_floor} after every
     step. Only instances with O <= 5 and K <= 3 are accepted.
     """
-    covs, objective, subgrad, has_latent = _oracle_pieces(problem)
-    k = len(covs)
-    o = covs[0].shape[0]
+    cov_stack, objective, subgrad, has_latent = _oracle_pieces(problem)
+    k, o = cov_stack.shape[:2]
     if o > 5 or k > 3:
         raise InvalidInput(f"oracle accepts O <= 5 and K <= 3, got O={o}, K={k}")
     if budget < 1:

@@ -1,3 +1,7 @@
+import ctypes
+import os
+from concurrent.futures import ProcessPoolExecutor
+
 import numpy as np
 import pytest
 
@@ -5,6 +9,7 @@ from ggm.cli import main
 from ggm.errors import ConfigError
 from ggm.experiments import (
     METHODS,
+    MethodParams,
     ResultTable,
     build_config,
     derive_cell_seeds,
@@ -13,7 +18,9 @@ from ggm.experiments import (
     parse_config_file,
     realize_cell,
     run_experiment,
+    select_params,
     write_manifest,
+    _one_blas_thread,
 )
 from ggm.io import write_matrix_csv
 
@@ -111,6 +118,8 @@ def test_tc1_table_and_k1_joint_equals_lvgl(tmp_path):
     body = open(manifest, encoding="utf-8").read()
     assert "mc_method_invocations = 16 (expected 16)" in body
     assert "selected[1]" in body and "selected[2]" in body
+    assert f"selection_seconds = {result.selection_seconds:.3f}" in body
+    assert f"monte_carlo_seconds = {result.monte_carlo_seconds:.3f}" in body
 
 
 def test_tc1_rerun_byte_identical(tmp_path):
@@ -127,10 +136,49 @@ def test_tc1_worker_count_independent(tmp_path):
     serial = run_experiment(tiny_tc1(workers=1))
     pooled = run_experiment(tiny_tc1(workers=2))
     assert np.array_equal(serial.raw_errors, pooled.raw_errors)
+    assert serial.selected == pooled.selected
+    assert serial.selection_invocations == pooled.selection_invocations
     pa, pb = tmp_path / "serial.csv", tmp_path / "pooled.csv"
     emit_csv(serial.table, pa)
     emit_csv(pooled.table, pb)
     assert pa.read_bytes() == pb.read_bytes()
+
+
+def test_select_params_first_minimum_per_method():
+    cfg = build_config("tc1", {}, rho_grid=(0.1, 0.2, 0.3), beta_grid=(1.0, 2.0),
+                       eta_grid=(5.0, 6.0))
+    sizes = {"GL": 3, "GGL": 9, "LVGL": 6, "Joint": 12}
+    flat = {m: [0.5] * n for m, n in sizes.items()}
+    assert select_params(cfg, flat) == MethodParams(0.1, 0.1, 0.1, 0.1, 1.0, 0.1, 1.0, 5.0)
+    # two equal minima per method; the earlier grid point wins
+    ties = {"GL": (1, 2), "GGL": (6, 7), "LVGL": (3, 5), "Joint": (3, 11)}
+    errors = {m: [0.9] * n for m, n in sizes.items()}
+    for method, (first, later) in ties.items():
+        errors[method][first] = errors[method][later] = 0.25
+    params = select_params(cfg, errors)
+    assert params == MethodParams(gl_lam=0.2, ggl_l1=0.3, ggl_l2=0.1, lv_rho=0.2, lv_beta=2.0,
+                                  joint_rho=0.1, joint_beta=2.0, joint_eta=6.0)
+    assert params.hyperparameters("GGL") == (0.3, 0.1)
+    assert params.hyperparameters("Joint") == (0.1, 2.0, 6.0)
+
+
+def _openblas_thread_counts():
+    """Thread count of every OpenBLAS loaded in this process."""
+    with open("/proc/self/maps", encoding="utf-8") as fh:
+        paths = {line.split(maxsplit=5)[5].strip() for line in fh if "openblas" in line}
+    getters = ("openblas_get_num_threads", "openblas_get_num_threads64_",
+               "scipy_openblas_get_num_threads", "scipy_openblas_get_num_threads64_")
+    return [getattr(lib, name)() for lib in map(ctypes.CDLL, paths)
+            for name in getters if hasattr(lib, name)]
+
+
+def test_pool_workers_run_one_openblas_thread(monkeypatch):
+    if not os.path.exists("/proc/self/maps") or not _openblas_thread_counts():
+        pytest.skip("needs an OpenBLAS found through /proc/self/maps")
+    monkeypatch.delenv("OPENBLAS_NUM_THREADS", raising=False)
+    with ProcessPoolExecutor(1, initializer=_one_blas_thread) as pool:
+        counts = pool.submit(_openblas_thread_counts).result(timeout=60)
+    assert counts and all(c == 1 for c in counts)
 
 
 def test_tc2_sample_growth_helps_each_method():
@@ -232,10 +280,18 @@ def test_cli_solve_and_oracle(tmp_path, capsys):
     assert (out / "s_hat_1.csv").exists() and (out / "p_hat_2.csv").exists()
     assert "objective" in capsys.readouterr().out
 
+    oracle_out = tmp_path / "oracle"
     code = main(["oracle", "--covs", paths[0], "--rho", "0.1", "--beta", "0.2",
-                 "--budget", "2000"])
+                 "--budget", "2000", "--out", str(oracle_out)])
     assert code == 0
+    assert (oracle_out / "s_hat_1.csv").exists() and (oracle_out / "p_hat_1.csv").exists()
     assert "oracle objective" in capsys.readouterr().out
+
+    nan_path = tmp_path / "nan.csv"
+    write_matrix_csv(np.array([[1.0, np.nan], [np.nan, 1.0]]), nan_path)
+    code = main(["oracle", "--covs", str(nan_path), "--budget", "50"])
+    assert code == 2
+    assert "non-finite" in capsys.readouterr().err
 
 
 def test_cli_solve_missing_file(tmp_path, capsys):

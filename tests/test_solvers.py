@@ -119,7 +119,7 @@ def test_joint_estimate_invariants():
 
 
 @pytest.mark.parametrize("bad", [np.nan, np.inf])
-@pytest.mark.parametrize("method", ["GL", "GGL", "LVGL", "Joint"])
+@pytest.mark.parametrize("method", ["GL", "GGL", "LVGL", "Joint", "Oracle"])
 def test_solvers_reject_nonfinite_covariance(method, bad):
     good = np.eye(3)
     cov = np.eye(3)
@@ -130,6 +130,8 @@ def test_solvers_reject_nonfinite_covariance(method, bad):
         "GGL": lambda: solve_ggl([good, cov], 0.1, 0.1, cfg),
         "LVGL": lambda: solve_lvgl(cov, 0.1, 0.1, cfg),
         "Joint": lambda: solve_joint_hidden([good, cov], PenaltyWeights.tied(2, 0.1, 0.1), cfg),
+        "Oracle": lambda: reference_oracle(
+            JointProblem((good, cov), PenaltyWeights.tied(2, 0.1, 0.1)), budget=2),
     }[method]
     layer = 0 if method in ("GL", "LVGL") else 1
     with pytest.raises(InvalidInput, match=f"layer {layer} has non-finite"):
