@@ -116,13 +116,22 @@ class ExperimentConfig:
                 raise ConfigError("o_sweep values cannot exceed n")
             if not self.data_files and not self.synthetic_substitute:
                 raise ConfigError("tc3 needs data_files or synthetic_substitute = true")
-        if not self.rho_grid or not self.beta_grid or not self.eta_grid:
-            raise ConfigError("penalty grids must be nonempty")
+        for name in ("rho_grid", "beta_grid", "eta_grid"):
+            values = getattr(self, name)
+            if not values:
+                raise ConfigError("penalty grids must be nonempty")
+            if not all(0 <= v < math.inf for v in values):
+                raise ConfigError(f"{name} values must be finite and nonnegative")
+        try:
+            object.__setattr__(self, "_solver_config", SolverConfig(
+                step=self.step, max_iters=self.max_iters, tol_primal=self.tol_primal,
+                tol_dual=self.tol_dual, admissible_set=self.admissible_set,
+                pd_floor=self.pd_floor))
+        except ValueError as exc:
+            raise ConfigError(f"solver settings: {exc}") from exc
 
     def solver_config(self) -> SolverConfig:
-        return SolverConfig(step=self.step, max_iters=self.max_iters,
-                            tol_primal=self.tol_primal, tol_dual=self.tol_dual,
-                            admissible_set=self.admissible_set, pd_floor=self.pd_floor)
+        return self._solver_config
 
     @property
     def sweep(self) -> tuple:

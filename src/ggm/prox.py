@@ -10,6 +10,10 @@ import numpy as np
 
 from .errors import InvalidInput
 
+# Largest K for which prox_fused_l1 accepts non-uniform weights: the cut
+# table of fused_prox_cuts holds 2^K (K + 1) floats.
+_MAX_CUT_LAYERS = 16
+
 
 def symmetrize(a):
     """Return the symmetric part (a + a.T) / 2 of a square array."""
@@ -93,9 +97,8 @@ def prox_psd_trace(a, kappa):
 # for all columns at once in O(K^2) time and O(K) memory per column. The
 # solvers apply it to the upper triangle of the symmetric part of each
 # matrix and mirror the result, which is the exact prox over symmetric
-# matrices. Non-uniform weights fall back to exact cyclic coordinate
-# minimization with joint moves over subsets of tied coordinates;
-# single-coordinate sweeps alone can stall on fused groups.
+# matrices. Per-coordinate l1 weights or non-uniform pair weights take the
+# exact minimum-cut decomposition of fused_prox_cuts, batched over columns.
 # ---------------------------------------------------------------------------
 
 
@@ -131,106 +134,106 @@ def fused_prox_stack(v, lam1, pair_weight: float):
     return np.sign(z) * np.maximum(np.abs(z) - lam1, 0.0)
 
 
-def _pair_weight_matrix(pair_weights, k: int):
-    """Normalize pair weights to a symmetric (k, k) matrix with zero diagonal."""
+def _pair_weight_matrix(pair_weights, k: int, name: str = "pair weights"):
+    """Normalize pair weights (a scalar, a condensed vector or a symmetric
+    matrix) to a (k, k) matrix with zero diagonal; all must be finite and
+    nonnegative."""
     w = np.asarray(pair_weights, dtype=float)
+    if not np.isfinite(w).all():
+        raise InvalidInput(f"{name} must be finite")
     if w.ndim == 0:
         full = np.full((k, k), float(w))
         np.fill_diagonal(full, 0.0)
     elif w.ndim == 1:
         if w.size != k * (k - 1) // 2:
             raise InvalidInput(
-                f"need {k * (k - 1) // 2} pair weights for K={k}, got {w.size}")
+                f"need {k * (k - 1) // 2} {name} for K={k}, got {w.size}")
         full = np.zeros((k, k))
         iu = np.triu_indices(k, 1)
         full[iu] = w
         full = full + full.T
     elif w.shape == (k, k):
         if not np.array_equal(w, w.T):
-            raise InvalidInput("pair weight matrix must be symmetric")
+            raise InvalidInput(f"{name} must be symmetric")
         full = w.copy()
         np.fill_diagonal(full, 0.0)
     else:
-        raise InvalidInput(f"cannot interpret pair weights of shape {w.shape}")
+        raise InvalidInput(f"cannot interpret {name} of shape {w.shape}")
     if np.any(full < 0):
-        raise InvalidInput("pair weights must be nonnegative")
+        raise InvalidInput(f"{name} must be nonnegative")
     return full
 
 
-def _fused_coordinate_min(v_eff, lam_eff, anchors):
-    """argmin_t 1/2 (t - v_eff)^2 + lam_eff |t| + sum_j w_j |t - a_j|.
+def _is_uniform(lam, pair):
+    """True when one l1 weight and one pair weight serve every coordinate."""
+    offd = pair[np.triu_indices(len(lam), 1)]
+    return bool(np.all(lam == lam[0]) and np.all(offd == offd[:1]))
 
-    anchors is a list of (w_j, a_j). The objective is convex piecewise
-    quadratic; the minimizer is either a stationary point inside one of
-    the intervals between breakpoints or a breakpoint itself.
+
+def fused_prox_cuts(v, lam, pair):
+    """Exact fused-l1 prox along axis 0 for any nonnegative weights.
+
+    v has shape (K, n): n independent problems
+    ``argmin_z 1/2 ||z - v||^2 + sum_k lam_k |z_k|
+    + sum_{k<k'} pair_kk' |z_k - z_k'|``, with lam of shape (K,) and pair
+    a symmetric (K, K) matrix with zero diagonal. Divide and conquer
+    (Hochbaum, JACM 2001): an open group G of coordinates takes its
+    all-equal fit t, and a minimum cut over the subsets of G either
+    closes G at t or splits it into a part above t and a part below.
+    Edges to coordinates already ranked above or below G act on it as
+    linear terms. Only a proper subset of strictly negative cut cost
+    splits, so each round closes or shrinks every open group and K
+    rounds suffice, also on NaN input. At t = 0 the l1 kink splits three
+    ways: the part above 0 from the right derivative, the part below from
+    the mirrored problem, and the rest closes at 0. The cuts enumerate
+    the 2^K subsets of all columns' groups at once, so time and memory
+    grow as 2^K n.
     """
-    pts = sorted({0.0, *(a for _, a in anchors)})
-
-    def val(t):
-        out = 0.5 * (t - v_eff) ** 2 + lam_eff * abs(t)
-        for wj, aj in anchors:
-            out += wj * abs(t - aj)
-        return out
-
-    best_t, best_v = pts[0], val(pts[0])
-    for p in pts[1:]:
-        fv = val(p)
-        if fv < best_v:
-            best_t, best_v = p, fv
-    edges = [pts[0] - 1.0] + [0.5 * (pts[i] + pts[i + 1]) for i in range(len(pts) - 1)] \
-        + [pts[-1] + 1.0]
-    for i, mid in enumerate(edges):
-        t = v_eff - lam_eff * np.sign(mid) - sum(wj * np.sign(mid - aj) for wj, aj in anchors)
-        lo = -np.inf if i == 0 else pts[i - 1]
-        hi = np.inf if i == len(edges) - 1 else pts[i]
-        if lo < t < hi:
-            fv = val(t)
-            if fv < best_v:
-                best_t, best_v = t, fv
-    return best_t
-
-
-def _fused_objective(z, v, lam, w_full):
-    obj = 0.5 * np.sum((z - v) ** 2) + np.sum(lam * np.abs(z))
-    iu = np.triu_indices(len(v), 1)
-    obj += np.sum(w_full[iu] * np.abs(z[iu[0]] - z[iu[1]]))
-    return obj
-
-
-def _fused_general(v, lam, w_full, max_sweeps=1000, tol=1e-10):
-    """Exact fused-l1 prox for arbitrary nonnegative pair weights (small K)."""
-    k = len(v)
-    z = v.copy()
-    for _ in range(max_sweeps):
-        z_prev = z.copy()
-        for i in range(k):
-            anchors = [(w_full[i, j], z[j]) for j in range(k) if j != i and w_full[i, j] > 0]
-            z[i] = _fused_coordinate_min(v[i], lam[i], anchors)
-        # joint moves over subsets of tied coordinates: a fused group can
-        # be stuck even though every single coordinate is 1-d optimal
-        groups = {}
-        for i in range(k):
-            groups.setdefault(round(z[i], 12), []).append(i)
-        for members in groups.values():
-            if len(members) < 2:
-                continue
-            for mask in range(1, 2 ** len(members)):
-                sub = [members[b] for b in range(len(members)) if (mask >> b) & 1]
-                rest = [j for j in range(k) if j not in sub]
-                q = len(sub)
-                v_eff = float(np.mean(v[sub]))
-                lam_eff = float(np.sum(lam[sub])) / q
-                anchors = []
-                for j in rest:
-                    wj = float(np.sum(w_full[sub, j]))
-                    if wj > 0:
-                        anchors.append((wj / q, z[j]))
-                t = _fused_coordinate_min(v_eff, lam_eff, anchors)
-                trial = z.copy()
-                trial[sub] = t
-                if _fused_objective(trial, v, lam, w_full) < _fused_objective(z, v, lam, w_full) - 1e-15:
-                    z = trial
-        if np.max(np.abs(z - z_prev)) < tol:
+    k, n = v.shape
+    bits = np.arange(k)
+    member = ((np.arange(2 ** k) >> bits[:, None]) & 1).astype(float)  # (K, 2^K)
+    # each subset's membership row, then the weight of the edges leaving it
+    table = np.vstack([member, np.einsum("am,ab,bm->m", member, pair, 1.0 - member)])
+    key = np.zeros((k, n), dtype=np.int64)     # one key per group; smaller keys rank above
+    z = np.empty((k, n))
+    done = np.zeros((k, n), dtype=bool)
+    for _ in range(k):
+        same = key[None] == key[:, None]                                # (K, K, n)
+        above = np.einsum("kj,kjn->kn", pair, key[None] < key[:, None])
+        below = np.einsum("kj,kjn->kn", pair, key[None] > key[:, None])
+        leader = np.argmax(same, axis=1)
+        jk, jc = np.nonzero(~done & (leader == bits[:, None]))          # one job per open group
+        grp = same[jk, :, jc]                                           # (jobs, K) members
+        size = grp.sum(axis=1)
+        mean_v = np.where(grp, (v + above - below)[:, jc].T, 0.0).sum(axis=1) / size
+        t = np.sign(mean_v) * np.maximum(np.abs(mean_v) - grp @ lam / size, 0.0)
+        gmask = grp @ (1 << bits)
+        jobs = np.arange(jk.size)
+        # cost of each subset A of G = cut of A in the full graph + unary
+        # terms: each member's derivative at t (the right one at t = 0; `down`
+        # is the mirrored problem), less its edges leaving G. Non-members get
+        # a cost no subset of G can offset.
+        up = t[:, None] - (v + 2.0 * above)[:, jc].T + np.where(t < 0.0, -1.0, 1.0)[:, None] * lam
+        down = (v - 2.0 * below)[:, jc].T + lam
+        split = []
+        for unary in (up, down):
+            cost = np.hstack([np.where(grp, unary, 1e300), np.ones((jk.size, 1))]) @ table
+            cost[jobs, gmask] = np.inf
+            arg = np.argmin(cost, axis=1)
+            split.append(np.where(cost[jobs, arg] < 0.0, arg, 0))
+        hi, lo = split
+        # below t: the mirrored cut at t = 0, else the rest of a split group
+        lo = np.where(t == 0.0, lo & ~hi, np.where(hi > 0, gmask & ~hi, 0))
+        # hand each group's result to its members
+        job = np.zeros((k, n), dtype=np.int64)
+        job[jk, jc] = jobs
+        job = np.take_along_axis(job, leader, axis=0)
+        part = 1 - (hi[job] >> bits[:, None] & 1) + (lo[job] >> bits[:, None] & 1)
+        closing = ~done & (part == 1)
+        z[closing] = t[job[closing]]
+        done |= closing
+        key = 3 * key + part    # above t, closed at t, below t; groups keep their order
+        if done.all():
             break
     return z
 
@@ -244,22 +247,23 @@ def prox_fused_l1(values, lambda1, pair_weights=0.0):
     of length K(K-1)/2 ordered by (k, k') with k < k', or a full
     symmetric matrix.
 
-    K = 1 reduces to soft-thresholding. Uniform weights (always the case
-    for K = 2) use the exact sort/isotonic closed path; otherwise an
-    exact coordinate method with tied-subset moves is used.
+    One l1 weight and one pair weight for all coordinates take the exact
+    sort/isotonic path of fused_prox_stack; anything else takes the exact
+    minimum-cut decomposition of fused_prox_cuts, whose cost grows as 2^K,
+    and is rejected beyond K = 16.
     """
     v = np.atleast_1d(np.asarray(values, dtype=float))
     if v.ndim != 1 or v.size < 1:
         raise InvalidInput("values must be a nonempty 1-d vector")
     k = v.size
-    lam = np.broadcast_to(np.asarray(lambda1, dtype=float), (k,)).copy()
-    if np.any(lam < 0):
-        raise InvalidInput("lambda1 must be nonnegative")
+    lam = np.broadcast_to(np.asarray(lambda1, dtype=float), (k,))
+    if not np.isfinite(lam).all() or np.any(lam < 0):
+        raise InvalidInput("lambda1 must be finite and nonnegative")
     w_full = _pair_weight_matrix(pair_weights, k)
-    if k == 1:
-        return np.sign(v) * np.maximum(np.abs(v) - lam, 0.0)
-    offd = w_full[np.triu_indices(k, 1)]
-    uniform = np.all(offd == offd[0]) and np.all(lam == lam[0])
-    if uniform:
-        return fused_prox_stack(v[:, None], lam[0], float(offd[0]))[:, 0]
-    return _fused_general(v, lam, w_full)
+    if _is_uniform(lam, w_full):
+        # the one pair weight; 0 at K = 1, where this is soft-thresholding
+        return fused_prox_stack(v[:, None], lam[0], float(w_full.max()))[:, 0]
+    if k > _MAX_CUT_LAYERS:
+        raise InvalidInput(f"non-uniform weights need a prox exponential in K; "
+                           f"K={k} exceeds {_MAX_CUT_LAYERS}")
+    return fused_prox_cuts(v[:, None], lam, w_full)[:, 0]

@@ -26,8 +26,10 @@ import numpy as np
 
 from .errors import InvalidInput, NumericalError
 from .prox import (
+    _is_uniform,
+    _pair_weight_matrix,
+    fused_prox_cuts,
     fused_prox_stack,
-    prox_fused_l1,
     prox_logdet,
     prox_psd_trace,
     soft_threshold,
@@ -37,8 +39,8 @@ from .sampling import ObservedCovariances
 
 _EPS = 1e-12
 # Largest K for which solve_joint_hidden accepts non-uniform weights: their
-# fused prox makes 2^K tied-subset moves per matrix entry.
-_MAX_GENERAL_LAYERS = 4
+# fused prox enumerates the 2^K cuts of every matrix entry's layer graph.
+_MAX_GENERAL_LAYERS = 8
 # Residual balancing: the step grows or shrinks by _ADAPT_FACTOR when one
 # relative residual exceeds the other by more than _ADAPT_RATIO.
 _ADAPT_RATIO = 10.0
@@ -66,12 +68,12 @@ class SolverConfig:
     def __post_init__(self):
         if isinstance(self.admissible_set, str):
             object.__setattr__(self, "admissible_set", AdmissibleSet(self.admissible_set.lower()))
-        if self.step <= 0 or self.pd_floor <= 0:
-            raise InvalidInput("step and pd_floor must be positive")
+        if not (0 < self.step < np.inf and 0 < self.pd_floor < np.inf):
+            raise InvalidInput("step and pd_floor must be positive and finite")
         if self.max_iters < 1:
             raise InvalidInput("max_iters must be at least 1")
-        if self.tol_primal <= 0 or self.tol_dual <= 0:
-            raise InvalidInput("tolerances must be positive")
+        if not (0 < self.tol_primal < np.inf and 0 < self.tol_dual < np.inf):
+            raise InvalidInput("tolerances must be positive and finite")
 
 
 @dataclass(frozen=True)
@@ -80,7 +82,8 @@ class PenaltyWeights:
 
     rho/beta are length-K vectors (l1 on S, trace/nuclear on P);
     rho_pair/beta_pair are symmetric K x K matrices whose (k, k') entry
-    weights the fused penalty between layers k and k'. The l1 and fused
+    weights the fused penalty between layers k and k' (a scalar serves
+    every pair). All weights must be finite and nonnegative. The l1 and fused
     terms on S skip the diagonal unless penalize_diagonal is set; the
     fused term on P always covers all entries.
     """
@@ -97,27 +100,14 @@ class PenaltyWeights:
         k = rho.size
         if beta.size != k:
             raise InvalidInput("rho and beta must have one entry per layer")
-        rp = np.asarray(self.rho_pair, dtype=float)
-        bp = np.asarray(self.beta_pair, dtype=float)
-        if rp.ndim == 0:
-            rp = np.full((k, k), float(rp))
-        if bp.ndim == 0:
-            bp = np.full((k, k), float(bp))
-        for name, m in (("rho_pair", rp), ("beta_pair", bp)):
-            if m.shape != (k, k):
-                raise InvalidInput(f"{name} must be a {k} x {k} matrix")
-            if not np.array_equal(m, m.T):
-                raise InvalidInput(f"{name} must be symmetric")
-        rp = rp.copy()
-        bp = bp.copy()
-        np.fill_diagonal(rp, 0.0)
-        np.fill_diagonal(bp, 0.0)
-        if min(rho.min(), beta.min(), rp.min(), bp.min()) < 0:
+        if not (np.isfinite(rho).all() and np.isfinite(beta).all()):
+            raise InvalidInput("rho and beta must be finite")
+        if min(rho.min(), beta.min()) < 0:
             raise InvalidInput("all penalty weights must be nonnegative")
         object.__setattr__(self, "rho", rho)
         object.__setattr__(self, "beta", beta)
-        object.__setattr__(self, "rho_pair", rp)
-        object.__setattr__(self, "beta_pair", bp)
+        object.__setattr__(self, "rho_pair", _pair_weight_matrix(self.rho_pair, k, "rho_pair"))
+        object.__setattr__(self, "beta_pair", _pair_weight_matrix(self.beta_pair, k, "beta_pair"))
 
     @classmethod
     def tied(cls, n_layers: int, rho: float, beta: float, rho_pair: float = 0.0,
@@ -296,12 +286,6 @@ def ggl_objective(s_list, covs, lambda1: float, lambda2: float,
 # Shared pieces of the splitting loops
 # ---------------------------------------------------------------------------
 
-def _is_uniform(lam_vec, pair_mat):
-    """True when one l1 weight and one pair weight serve every layer."""
-    offd = pair_mat[np.triu_indices(len(lam_vec), 1)]
-    return bool(np.all(lam_vec == lam_vec[0]) and np.all(offd == offd[:1]))
-
-
 def _fused_update(v_cols, lam_vec, pair_mat, sigma, uniform):
     """Columnwise fused-l1 prox of v_cols (K, n) at penalty sigma.
 
@@ -313,10 +297,7 @@ def _fused_update(v_cols, lam_vec, pair_mat, sigma, uniform):
         return np.sign(v_cols) * np.maximum(np.abs(v_cols) - lam_vec[0] / sigma, 0.0)
     if uniform:
         return fused_prox_stack(v_cols, lam_vec[0] / sigma, float(pair_mat[0, 1]) / sigma)
-    out = np.empty_like(v_cols)
-    for i in range(v_cols.shape[1]):
-        out[:, i] = prox_fused_l1(v_cols[:, i], lam_vec / sigma, pair_mat / sigma)
-    return out
+    return fused_prox_cuts(v_cols, lam_vec / sigma, pair_mat / sigma)
 
 
 def _triangle(o, offset):
@@ -448,8 +429,9 @@ def solve_joint_hidden(covs, w: PenaltyWeights, cfg: SolverConfig = SolverConfig
     Raises
     ------
     InvalidInput
-        If a covariance is not finite, or if K > 4 and rho, rho_pair or
-        beta_pair are not uniform across layers (see PenaltyWeights.tied).
+        If a covariance is not finite, or if K > 8 and rho, rho_pair or
+        beta_pair are not uniform across layers (see PenaltyWeights.tied):
+        the exact fused prox for non-uniform weights enumerates 2^K cuts.
     """
     cov_stack = _cov_stack(covs)
     k, o, _ = cov_stack.shape
@@ -459,7 +441,7 @@ def solve_joint_hidden(covs, w: PenaltyWeights, cfg: SolverConfig = SolverConfig
     p_uniform = _is_uniform(np.zeros(k), w.beta_pair)
     if k > _MAX_GENERAL_LAYERS and not (s_uniform and p_uniform):
         raise InvalidInput(
-            f"non-uniform rho, rho_pair or beta_pair need an exponential-time fused prox; "
+            f"non-uniform rho, rho_pair or beta_pair need a fused prox exponential in K; "
             f"K={k} exceeds {_MAX_GENERAL_LAYERS} layers, use PenaltyWeights.tied")
     s_upper, s_lower = _triangle(o, 0 if w.penalize_diagonal else 1)
     p_upper, p_lower = _triangle(o, 0)

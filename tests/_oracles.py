@@ -87,23 +87,26 @@ def fused_prox_by_partitions(v, lam1, pair_w):
 
 
 def fused_duality_gap(z, v, lam1, pair_w):
-    """Duality gap of z as the uniform-weight fused-l1 prox of the vector v.
+    """Duality gap of z as the fused-l1 prox of the vector v.
 
-    The prox is min_z 1/2 ||z - v||^2 + ||A z||_1 with A = [lam I; w D] and
-    D the (K choose 2) x K pairwise-difference matrix. Its dual,
-    max_{|u| <= 1} 1/2 ||v||^2 - 1/2 ||v - A^T u||^2, is a bounded
-    least-squares problem solved here by BVLS; the gap is zero exactly at
-    the prox.
+    lam1 is a scalar or one l1 weight per coordinate; pair_w a scalar or
+    a symmetric (K, K) matrix of pair weights. The prox is
+    min_z 1/2 ||z - v||^2 + ||A z||_1 with A = [diag(lam); W D], D the
+    (K choose 2) x K pairwise-difference matrix and W its pair weights.
+    Its dual, max_{|u| <= 1} 1/2 ||v||^2 - 1/2 ||v - A^T u||^2, is a
+    bounded least-squares problem solved here by BVLS; the gap is zero
+    exactly at the prox.
     """
     v = np.asarray(v, dtype=float)
     z = np.asarray(z, dtype=float)
     k = v.size
     pairs = list(combinations(range(k), 2))
+    w = np.broadcast_to(np.asarray(pair_w, dtype=float), (k, k))
     diff = np.zeros((len(pairs), k))
     for row, (i, j) in enumerate(pairs):
-        diff[row, i] = 1.0
-        diff[row, j] = -1.0
-    a = np.vstack([lam1 * np.eye(k), pair_w * diff])
+        diff[row, i] = w[i, j]
+        diff[row, j] = -w[i, j]
+    a = np.vstack([np.diag(np.broadcast_to(np.asarray(lam1, dtype=float), (k,))), diff])
     u = lsq_linear(a.T, v, bounds=(-1.0, 1.0), method="bvls").x
     r = v - a.T @ u
     primal = 0.5 * float(np.sum((z - v) ** 2)) + float(np.abs(a @ z).sum())

@@ -69,6 +69,11 @@ def test_config_rejections(tmp_path):
         build_config("tc3", {}, synthetic_substitute=True, o_sweep=(40,))
     with pytest.raises(ConfigError):
         build_config("tc1", {}, n_hidden=10, n=10)
+    for bad in ({"rho_grid": "0.05,nan"}, {"beta_grid": "0.1,-1"}, {"eta_grid": "inf"},
+                {"step": "nan"}, {"pd_floor": "inf"}, {"tol_primal": "nan"},
+                {"admissible_set": "bogus"}):
+        with pytest.raises(ConfigError):
+            build_config("tc1", {}, **bad)
     path = tmp_path / "cfg.txt"
     path.write_text("experiment = tc2\n", encoding="utf-8")
     with pytest.raises(ConfigError):
@@ -279,6 +284,9 @@ def test_cli_solve_and_oracle(tmp_path, capsys):
     assert code == 0
     assert (out / "s_hat_1.csv").exists() and (out / "p_hat_2.csv").exists()
     assert "objective" in capsys.readouterr().out
+    code = main(["solve", "--covs", *paths, "--rho", "nan", "--out", str(out)])
+    assert code == 2
+    assert "finite" in capsys.readouterr().err
 
     oracle_out = tmp_path / "oracle"
     code = main(["oracle", "--covs", paths[0], "--rho", "0.1", "--beta", "0.2",

@@ -7,6 +7,8 @@ from hypothesis import strategies as st
 
 from ggm.errors import InvalidInput
 from ggm.prox import (
+    _pair_weight_matrix,
+    fused_prox_cuts,
     fused_prox_stack,
     prox_fused_l1,
     prox_logdet,
@@ -268,6 +270,10 @@ def test_fused_rejects_negative_weights():
         prox_fused_l1([1.0, 2.0], 0.1, -0.5)
     with pytest.raises(InvalidInput):
         prox_fused_l1([1.0, 2.0], -0.1, 0.5)
+    # non-uniform weights beyond 16 coordinates: a 2^K cut table
+    with pytest.raises(InvalidInput, match="exponential in K"):
+        prox_fused_l1(np.arange(17.0), np.linspace(0.0, 1.0, 17), 0.5)
+    assert np.all(np.isfinite(prox_fused_l1(np.arange(17.0), 0.1, 0.5)))
 
 
 def test_fused_stack_matches_per_column():
@@ -325,6 +331,70 @@ def test_fused_stack_memory_bounded_at_sixteen_layers():
     finally:
         tracemalloc.stop()
     assert peak < 16 * v.nbytes
+
+
+def random_pair_weights(rng, k):
+    """Symmetric (k, k) pair weights drawn from [0.05, 1], about a third
+    of them exactly 0, with a zero diagonal."""
+    w = np.triu(rng.uniform(0.05, 1.0, (k, k)) * (rng.random((k, k)) < 0.7), 1)
+    return w + w.T
+
+
+@pytest.mark.parametrize("k", range(2, 9))
+def test_fused_cuts_dual_certificate(k):
+    rng = np.random.default_rng(100 + k)
+    v = tied_columns(rng, k, 24)
+    v[:, :2] = 0.0
+    for _ in range(3):
+        lam = rng.uniform(0.05, 1.0, k) * (rng.random(k) < 0.7)
+        pair = random_pair_weights(rng, k)
+        out = fused_prox_cuts(v, lam, pair)
+        for c in range(v.shape[1]):
+            gap = fused_duality_gap(out[:, c], v[:, c], lam, pair)
+            assert abs(gap) <= 64 * np.finfo(float).eps * max(1.0, float(v[:, c] @ v[:, c]))
+
+
+@settings(deadline=None, max_examples=60)
+@given(
+    data=st.data(),
+    k=st.integers(2, 8),
+    n=st.integers(1, 4),
+    lam=st.floats(0, 2),
+    w=st.floats(0, 2),
+)
+def test_fused_cuts_match_stack_on_uniform_weights(data, k, n, lam, w):
+    size = k * n
+    v = np.array(data.draw(st.lists(st.floats(-3, 3), min_size=size, max_size=size)))
+    src = np.array(data.draw(st.lists(st.integers(0, k - 1), min_size=size, max_size=size)))
+    tie = np.array(data.draw(st.lists(st.booleans(), min_size=size, max_size=size)))
+    v = v.reshape(k, n)
+    v = np.where(tie.reshape(k, n), np.take_along_axis(v, src.reshape(k, n), axis=0), v)
+    out = fused_prox_cuts(v, np.full(k, lam), _pair_weight_matrix(w, k))
+    assert np.max(np.abs(out - fused_prox_stack(v, lam, w))) <= 1e-12
+
+
+def test_fused_cuts_nan_column_returns():
+    rng = np.random.default_rng(9)
+    v = rng.standard_normal((8, 5))
+    v[3, 2] = np.nan
+    out = fused_prox_cuts(v, rng.uniform(0.0, 1.0, 8), random_pair_weights(rng, 8))
+    assert np.isnan(out[:, 2]).all()
+    assert np.isfinite(np.delete(out, 2, axis=1)).all()
+
+
+def test_fused_cuts_memory_bounded_at_eight_layers():
+    rng = np.random.default_rng(8)
+    v = tied_columns(rng, 8, 756)
+    lam = rng.uniform(0.05, 1.0, 8)
+    pair = random_pair_weights(rng, 8)
+    tracemalloc.start()
+    try:
+        fused_prox_cuts(v, lam, pair)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    # the cut enumeration holds about 2^K floats per open group
+    assert peak < 2 ** 8 * v.nbytes / 2
 
 
 def test_kernels_are_pure():

@@ -138,6 +138,27 @@ def test_solvers_reject_nonfinite_covariance(method, bad):
         solve()
 
 
+_NONFINITE_SETTINGS = {
+    "rho nan": lambda: PenaltyWeights.tied(2, np.nan, 0.1),
+    "beta inf": lambda: PenaltyWeights.tied(2, 0.1, np.inf),
+    "rho_pair nan": lambda: PenaltyWeights.tied(2, 0.1, 0.1, np.nan, 0.0),
+    "beta_pair inf": lambda: PenaltyWeights.tied(2, 0.1, 0.1, 0.0, np.inf),
+    "step nan": lambda: SolverConfig(step=np.nan),
+    "pd_floor inf": lambda: SolverConfig(pd_floor=np.inf),
+    "tol_primal nan": lambda: SolverConfig(tol_primal=np.nan),
+    "tol_dual inf": lambda: SolverConfig(tol_dual=np.inf),
+    "pair weight nan": lambda: prox_fused_l1([1.0, 2.0, 0.5], 0.1, [np.nan, 0.2, 0.3]),
+    "lambda1 nan": lambda: prox_fused_l1([1.0, 2.0], np.nan, 0.1),
+    "lambda1 inf": lambda: prox_fused_l1([1.0, 2.0], [0.1, np.inf], 0.1),
+}
+
+
+@pytest.mark.parametrize("make", _NONFINITE_SETTINGS.values(), ids=_NONFINITE_SETTINGS.keys())
+def test_nonfinite_weights_and_settings_fail_fast(make):
+    with pytest.raises(InvalidInput, match="finite"):
+        make()
+
+
 def test_joint_deterministic():
     rng = np.random.default_rng(4)
     covs = ObservedCovariances(tuple(random_tiny_instance(rng, o=4, k=2)), (100, 100))
@@ -165,7 +186,7 @@ def test_joint_more_iterations_never_worse():
 
 
 def test_joint_nonuniform_weights_match_uniform_when_equal():
-    # the per-entry fallback path must agree with the vectorized path
+    # the minimum-cut fused prox must agree with the sort/isotonic one
     rng = np.random.default_rng(6)
     covs = ObservedCovariances(tuple(random_tiny_instance(rng, o=4, k=3)), (100,) * 3)
     uni = PenaltyWeights.tied(3, 0.1, 0.2, 0.05, 0.04)
@@ -178,9 +199,9 @@ def test_joint_nonuniform_weights_match_uniform_when_equal():
     assert abs(a.objective - b.objective) <= 1e-6 * abs(a.objective)
 
 
-def test_joint_rejects_nonuniform_weights_beyond_four_layers():
-    covs = [np.eye(3)] * 5
-    tied = PenaltyWeights.tied(5, 0.1, 0.2, 0.05, 0.04)
+def test_joint_rejects_nonuniform_weights_beyond_eight_layers():
+    covs = [np.eye(3)] * 9
+    tied = PenaltyWeights.tied(9, 0.1, 0.2, 0.05, 0.04)
     skewed = tied.rho_pair.copy()
     skewed[0, 1] = skewed[1, 0] = 0.06
     rho = tied.rho.copy()
@@ -196,8 +217,18 @@ def test_joint_rejects_nonuniform_weights_beyond_four_layers():
     solve_joint_hidden(covs, PenaltyWeights(tied.rho, beta, tied.rho_pair, tied.beta_pair),
                        SolverConfig(max_iters=2))
     # a single prox vector keeps the general path
-    z = prox_fused_l1(np.arange(5.0), 0.1, skewed)
+    z = prox_fused_l1(np.arange(9.0), 0.1, skewed)
     assert np.all(np.isfinite(z))
+
+
+def test_joint_nonuniform_weights_at_eight_layers():
+    rng = np.random.default_rng(8)
+    covs = [random_pd_matrix(rng, 28) for _ in range(8)]
+    rho_pair = rng.uniform(0.02, 0.08, (8, 8))
+    w = PenaltyWeights(rng.uniform(0.05, 0.15, 8), np.full(8, 0.1),
+                       rho_pair + rho_pair.T, np.full((8, 8), 0.05))
+    est = solve_joint_hidden(covs, w, SolverConfig(max_iters=3))
+    assert est.iterations == 3 and np.isfinite(est.objective)
 
 
 @pytest.mark.parametrize("k, penalize_diagonal", [(3, False), (3, True), (1, False)])
