@@ -13,6 +13,7 @@ import ctypes
 import math
 import os
 import time
+import typing
 from concurrent.futures import ProcessPoolExecutor
 from contextlib import nullcontext
 from dataclasses import dataclass, fields
@@ -40,6 +41,8 @@ METHODS = ("GL", "GGL", "LVGL", "Joint")
 EXPERIMENTS = ("tc1", "tc2", "tc3")
 
 _SUBSTITUTE_TAG = 980131   # seed tag for the synthetic 32-node stand-in
+# each experiment's sweep-axis field
+_SWEEP_AXES = {"tc1": "k_sweep", "tc2": "m_sweep", "tc3": "o_sweep"}
 # OpenBLAS's thread-count setter under the names of its plain, 64-bit-index
 # and numpy/scipy-wheel builds.
 _OPENBLAS_SETTERS = ("openblas_set_num_threads", "openblas_set_num_threads64_",
@@ -67,18 +70,18 @@ class ExperimentConfig:
     # hidden nodes / layers / samples
     n_hidden: int = 2
     k: int = 4
-    k_sweep: tuple = ()            # tc1 axis
+    k_sweep: tuple[int, ...] = ()  # tc1 axis
     m: int = 200
-    m_sweep: tuple = ()            # tc2 axis
-    o_sweep: tuple = ()            # tc3 axis
+    m_sweep: tuple[int, ...] = ()  # tc2 axis
+    o_sweep: tuple[int, ...] = ()  # tc3 axis
     # monte carlo
     n_realizations: int = 20
     base_seed: int = 0
     workers: int = 1
     # penalty grids (shared across methods; eta scales the fusion weights)
-    rho_grid: tuple = _logspace(-2, 0, 5)
-    beta_grid: tuple = _logspace(-2, 0.5, 5)
-    eta_grid: tuple = (0.5, 1.0, 2.0)
+    rho_grid: tuple[float, ...] = _logspace(-2, 0, 5)
+    beta_grid: tuple[float, ...] = _logspace(-2, 0.5, 5)
+    eta_grid: tuple[float, ...] = (0.5, 1.0, 2.0)
     # solver (looser than SolverConfig's defaults: a sweep runs thousands of solves)
     step: float = 1.0
     max_iters: int = 800
@@ -87,7 +90,7 @@ class ExperimentConfig:
     admissible_set: str = "symmetric"
     pd_floor: float = 1e-8
     # tc3 data
-    data_files: tuple = ()
+    data_files: tuple[str, ...] = ()
     synthetic_substitute: bool = False
     binarize: bool = False
 
@@ -101,10 +104,9 @@ class ExperimentConfig:
             raise ConfigError("base_seed, n_hidden and n_rewire must be nonnegative")
         if self.n_hidden >= self.n:
             raise ConfigError("n_hidden must be smaller than n")
-        sweeps = {"k_sweep": self.k_sweep, "m_sweep": self.m_sweep, "o_sweep": self.o_sweep}
-        expected = {"tc1": "k_sweep", "tc2": "m_sweep", "tc3": "o_sweep"}[self.experiment]
-        for name, values in sweeps.items():
-            if name == expected:
+        for name in _SWEEP_AXES.values():
+            values = getattr(self, name)
+            if name == _SWEEP_AXES[self.experiment]:
                 if not values:
                     raise ConfigError(f"{self.experiment} requires a nonempty {name}")
                 if any(int(v) < 1 for v in values):
@@ -135,7 +137,7 @@ class ExperimentConfig:
 
     @property
     def sweep(self) -> tuple:
-        return {"tc1": self.k_sweep, "tc2": self.m_sweep, "tc3": self.o_sweep}[self.experiment]
+        return getattr(self, _SWEEP_AXES[self.experiment])
 
 
 _DEFAULT_SWEEPS = {
@@ -144,35 +146,27 @@ _DEFAULT_SWEEPS = {
     "tc3": {"o_sweep": (25, 26, 27, 28, 29, 30, 31), "n": 32, "k": 4},
 }
 
-_INT_TUPLES = {"k_sweep", "m_sweep", "o_sweep"}
-_FLOAT_TUPLES = {"rho_grid", "beta_grid", "eta_grid"}
-_STR_TUPLES = {"data_files"}
-_BOOLS = {"synthetic_substitute", "binarize"}
-
-
 def _parse_value(name: str, raw):
+    """Convert a raw value to the type its ExperimentConfig field declares;
+    a tuple field takes a comma-separated list."""
     if isinstance(raw, (tuple, list)):
         return tuple(raw)
     text = str(raw).strip()
-    if name in _INT_TUPLES:
-        return tuple(int(v) for v in text.split(",") if v.strip())
-    if name in _FLOAT_TUPLES:
-        return tuple(float(v) for v in text.split(",") if v.strip())
-    if name in _STR_TUPLES:
-        return tuple(v.strip() for v in text.split(",") if v.strip())
-    if name in _BOOLS:
+    target = ExperimentConfig.__dataclass_fields__[name].type
+    if target is bool:
         low = text.lower()
         if low in ("1", "true", "yes", "on"):
             return True
         if low in ("0", "false", "no", "off"):
             return False
         raise ConfigError(f"{name} expects a boolean, got {raw!r}")
-    target = ExperimentConfig.__dataclass_fields__[name].type
-    if target is int or target == "int":
-        return int(text)
-    if target is float or target == "float":
-        return float(text)
-    return text
+    try:
+        if typing.get_origin(target) is tuple:
+            item = typing.get_args(target)[0]
+            return tuple(item(v.strip()) for v in text.split(",") if v.strip())
+        return target(text)
+    except ValueError as exc:
+        raise ConfigError(f"cannot read {name} = {raw!r}: {exc}") from exc
 
 
 def parse_config_file(path) -> dict:
@@ -280,9 +274,7 @@ def _layer_graphs(cfg: ExperimentConfig, n_layers: int, seeds) -> list:
 def substitute_layers(cfg: ExperimentConfig) -> list:
     """Synthetic stand-in for the real multi-layer data: one seeded family
     of cfg.k related graphs on cfg.n nodes, fixed for the whole run."""
-    seeds = derive_cell_seeds(cfg.base_seed, _SUBSTITUTE_TAG, 0)
-    base = gen_erdos_renyi(cfg.n, cfg.p, seeds["graph"])
-    return gen_rewired_family(base, cfg.k, _auto_rewire(cfg, base), seeds["family"])
+    return _layer_graphs(cfg, cfg.k, derive_cell_seeds(cfg.base_seed, _SUBSTITUTE_TAG, 0))
 
 
 def load_tc3_layers(cfg: ExperimentConfig) -> list:

@@ -14,6 +14,14 @@ from .graphs import Graph
 from .prox import symmetrize
 
 
+def _graph_from_edges(n, edges) -> Graph:
+    """Undirected graph on n nodes from 1-based weighted (i, j, w) edges."""
+    a = np.zeros((n, n))
+    for i, j, w in edges:
+        a[i - 1, j - 1] = a[j - 1, i - 1] = w
+    return Graph(n, a)
+
+
 @dataclass(frozen=True)
 class EdgeListFile:
     """Plain-text graph: node count plus 1-based weighted edges."""
@@ -22,10 +30,7 @@ class EdgeListFile:
     edges: tuple   # ((i, j, weight), ...) with 1 <= i < j <= n_nodes
 
     def to_graph(self) -> Graph:
-        a = np.zeros((self.n_nodes, self.n_nodes))
-        for i, j, w in self.edges:
-            a[i - 1, j - 1] = a[j - 1, i - 1] = w
-        return Graph(self.n_nodes, a)
+        return _graph_from_edges(self.n_nodes, self.edges)
 
 
 @dataclass(frozen=True)
@@ -37,10 +42,7 @@ class PajekNetwork:
     edges: tuple   # ((i, j, weight), ...), 1-based, i < j, arcs symmetrized
 
     def to_graph(self) -> Graph:
-        a = np.zeros((self.n_vertices, self.n_vertices))
-        for i, j, w in self.edges:
-            a[i - 1, j - 1] = a[j - 1, i - 1] = w
-        return Graph(self.n_vertices, a)
+        return _graph_from_edges(self.n_vertices, self.edges)
 
 
 def _split_tokens(line):

@@ -10,9 +10,12 @@ import numpy as np
 
 from .errors import InvalidInput
 
-# Largest K for which prox_fused_l1 accepts non-uniform weights: the cut
-# table of fused_prox_cuts holds 2^K (K + 1) floats.
+# Largest K for which non-uniform weights are accepted. The cut kernel costs
+# 2^K per column: prox_fused_l1 runs it on one column, a solve on every
+# upper-triangle entry twice per iteration (one K = 8 call on the 5,050
+# entries of O = 100 peaks at 23 MB).
 _MAX_CUT_LAYERS = 16
+_MAX_SOLVE_CUT_LAYERS = 8
 
 
 def symmetrize(a):
@@ -53,8 +56,8 @@ def prox_logdet(a, c, tau: float):
 
 def soft_threshold(a, lam: float, penalize_diagonal: bool = False):
     """Elementwise l1 prox; the diagonal is left untouched unless requested."""
-    if lam < 0:
-        raise InvalidInput(f"lambda must be nonnegative, got {lam}")
+    if not 0 <= lam < np.inf:
+        raise InvalidInput(f"lambda must be finite and nonnegative, got {lam}")
     a = np.asarray(a, dtype=float)
     out = np.sign(a) * np.maximum(np.abs(a) - lam, 0.0)
     if not penalize_diagonal and a.ndim == 2 and a.shape[0] == a.shape[1]:
@@ -94,11 +97,13 @@ def prox_psd_trace(a, kappa):
 # sorted vector followed by soft-thresholding (the l1 part composes since
 # soft-thresholding preserves coordinate ordering). The isotonic fit is the
 # min-max formula fit_i = min_{j<=i} max_{l>=i} mean(v_j..v_l), evaluated
-# for all columns at once in O(K^2) time and O(K) memory per column. The
-# solvers apply it to the upper triangle of the symmetric part of each
-# matrix and mirror the result, which is the exact prox over symmetric
-# matrices. Per-coordinate l1 weights or non-uniform pair weights take the
-# exact minimum-cut decomposition of fused_prox_cuts, batched over columns.
+# for all columns at once in O(K^2) time and O(K) memory per column.
+# Per-coordinate l1 weights or non-uniform pair weights take the exact
+# minimum-cut decomposition of fused_prox_cuts, batched over columns.
+# _fused_columns makes that choice once per weight set, and
+# symmetric_fused_prox, the solvers' kernel, applies it to the upper
+# triangle of the symmetric part of each matrix and mirrors the result,
+# which is the exact prox over symmetric matrices.
 # ---------------------------------------------------------------------------
 
 
@@ -238,6 +243,53 @@ def fused_prox_cuts(v, lam, pair):
     return z
 
 
+def _fused_columns(lam, pair, max_cut_layers):
+    """The fused-l1 prox f(v, sigma) of the columns of v (K, n) at l1
+    weights lam / sigma and pair weights pair / sigma (a symmetric (K, K)
+    matrix with zero diagonal), its path chosen once for these weights.
+
+    Raises InvalidInput if the weights are not uniform and K exceeds
+    max_cut_layers.
+    """
+    if _is_uniform(lam, pair):
+        # the one pair weight; 0 at K = 1, where this is soft-thresholding
+        lam1, pair_weight = lam[0], float(pair.max())
+        return lambda v, sigma: fused_prox_stack(v, lam1 / sigma, pair_weight / sigma)
+    if len(lam) > max_cut_layers:
+        raise InvalidInput(f"non-uniform weights need a fused prox exponential in K; K={len(lam)} "
+                           f"exceeds {max_cut_layers}, use PenaltyWeights.tied")
+    return lambda v, sigma: fused_prox_cuts(v, lam / sigma, pair / sigma)
+
+
+def symmetric_fused_prox(lam, pair, o: int, diagonal: bool):
+    """The fused-l1 prox f(v, sigma) over symmetric matrices, for stacks v
+    (K, o, o), at l1 weights lam / sigma and pair weights pair / sigma (as
+    in _fused_columns).
+
+    The upper triangle (with the diagonal if `diagonal` is set) gets the
+    prox of the symmetric part (v + v^T) / 2 and is mirrored to the lower
+    one; an unpenalized diagonal keeps the values of v. Since the penalty
+    and the squared distance each count an off-diagonal pair twice, this
+    is the exact prox over symmetric matrices.
+
+    Raises InvalidInput if the weights are not uniform and K > 8.
+    """
+    fused = _fused_columns(lam, pair, _MAX_SOLVE_CUT_LAYERS)
+    i, j = np.triu_indices(o, 0 if diagonal else 1)
+    upper, lower = i * o + j, j * o + i
+
+    def prox(v, sigma):
+        flat = v.reshape(v.shape[0], -1)
+        out = flat.copy()
+        sym = 0.5 * (np.take(flat, upper, axis=1) + np.take(flat, lower, axis=1))
+        z = fused(sym, sigma)
+        out[:, upper] = z
+        out[:, lower] = z
+        return out.reshape(v.shape)
+
+    return prox
+
+
 def prox_fused_l1(values, lambda1, pair_weights=0.0):
     """Prox of the K-coupled fused-l1 plus elementwise l1 penalty.
 
@@ -260,10 +312,4 @@ def prox_fused_l1(values, lambda1, pair_weights=0.0):
     if not np.isfinite(lam).all() or np.any(lam < 0):
         raise InvalidInput("lambda1 must be finite and nonnegative")
     w_full = _pair_weight_matrix(pair_weights, k)
-    if _is_uniform(lam, w_full):
-        # the one pair weight; 0 at K = 1, where this is soft-thresholding
-        return fused_prox_stack(v[:, None], lam[0], float(w_full.max()))[:, 0]
-    if k > _MAX_CUT_LAYERS:
-        raise InvalidInput(f"non-uniform weights need a prox exponential in K; "
-                           f"K={k} exceeds {_MAX_CUT_LAYERS}")
-    return fused_prox_cuts(v[:, None], lam, w_full)[:, 0]
+    return _fused_columns(lam, w_full, _MAX_CUT_LAYERS)(v[:, None], 1.0)[:, 0]

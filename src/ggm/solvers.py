@@ -11,10 +11,13 @@ marginalized hidden nodes, by minimizing
 subject to P >= 0 and S_O - P > 0. It is solved by consensus ADMM: one
 copy per objective term (log-det barrier, fused l1 on S, trace-plus-PSD
 on P, fused l1 on P), tied to consensus variables (Z_S, Z_P) through the
-linear map x = (Z_S - Z_P, Z_S, Z_P, Z_P). The single-graph baselines
-(GL, LVGL) and the group graphical lasso (GGL) reuse the same kernels,
-and GL, GGL and the joint estimator share one scaled-form ADMM loop,
-`_admm`, and differ only in their prox steps and linear maps.
+linear map x = (Z_S - Z_P, Z_S, Z_P, Z_P). Each block's prox is one
+stack kernel of `prox`: prox_logdet, symmetric_fused_prox (which also
+picks the fused path and its layer limit) on S and on P, and
+prox_psd_trace. The single-graph baselines (GL, LVGL) and the group
+graphical lasso (GGL) reuse the same kernels, and GL, GGL and the joint
+estimator share one scaled-form ADMM loop, `_admm`, and differ only in
+their prox steps and linear maps.
 
 A slow projected-subgradient reference solver for tiny instances is
 provided as an independent check of the ADMM solutions.
@@ -26,21 +29,17 @@ import numpy as np
 
 from .errors import InvalidInput, NumericalError
 from .prox import (
-    _is_uniform,
     _pair_weight_matrix,
-    fused_prox_cuts,
-    fused_prox_stack,
+    fused_prox_stack,  # noqa: F401  (perfbench/spans.py wraps solvers.fused_prox_stack)
     prox_logdet,
     prox_psd_trace,
     soft_threshold,
+    symmetric_fused_prox,
     symmetrize,
 )
 from .sampling import ObservedCovariances
 
 _EPS = 1e-12
-# Largest K for which solve_joint_hidden accepts non-uniform weights: their
-# fused prox enumerates the 2^K cuts of every matrix entry's layer graph.
-_MAX_GENERAL_LAYERS = 8
 # Residual balancing: the step grows or shrinks by _ADAPT_FACTOR when one
 # relative residual exceeds the other by more than _ADAPT_RATIO.
 _ADAPT_RATIO = 10.0
@@ -286,45 +285,6 @@ def ggl_objective(s_list, covs, lambda1: float, lambda2: float,
 # Shared pieces of the splitting loops
 # ---------------------------------------------------------------------------
 
-def _fused_update(v_cols, lam_vec, pair_mat, sigma, uniform):
-    """Columnwise fused-l1 prox of v_cols (K, n) at penalty sigma.
-
-    uniform is _is_uniform(lam_vec, pair_mat), which the caller computes
-    once per solve.
-    """
-    k = v_cols.shape[0]
-    if k == 1:
-        return np.sign(v_cols) * np.maximum(np.abs(v_cols) - lam_vec[0] / sigma, 0.0)
-    if uniform:
-        return fused_prox_stack(v_cols, lam_vec[0] / sigma, float(pair_mat[0, 1]) / sigma)
-    return fused_prox_cuts(v_cols, lam_vec / sigma, pair_mat / sigma)
-
-
-def _triangle(o, offset):
-    """Flat indices into an (o, o) matrix of the upper triangle
-    np.triu_indices(o, offset) and of its mirror image."""
-    i, j = np.triu_indices(o, offset)
-    return i * o + j, j * o + i
-
-
-def _mirrored_fused_update(v, upper, lower, lam_vec, pair_mat, sigma, uniform):
-    """Fused-l1 prox over symmetric matrices of the stack v (K, o, o).
-
-    The entries at the flat indices `upper` get the prox of the symmetric
-    part (v + v^T) / 2 and are mirrored to `lower`; entries outside both
-    (an unpenalized diagonal) keep the values of v. Since the penalty and
-    the squared distance each count an off-diagonal pair twice, this is
-    the exact prox over symmetric matrices.
-    """
-    flat = v.reshape(v.shape[0], -1)
-    out = flat.copy()
-    sym = 0.5 * (np.take(flat, upper, axis=1) + np.take(flat, lower, axis=1))
-    z = _fused_update(sym, lam_vec, pair_mat, sigma, uniform)
-    out[:, upper] = z
-    out[:, lower] = z
-    return out.reshape(v.shape)
-
-
 def _project_admissible(a, admissible_set):
     if admissible_set is AdmissibleSet.NONPOSITIVE_OFFDIAG:
         diag = np.diagonal(a, axis1=-2, axis2=-1).copy()
@@ -429,33 +389,23 @@ def solve_joint_hidden(covs, w: PenaltyWeights, cfg: SolverConfig = SolverConfig
     Raises
     ------
     InvalidInput
-        If a covariance is not finite, or if K > 8 and rho, rho_pair or
-        beta_pair are not uniform across layers (see PenaltyWeights.tied):
-        the exact fused prox for non-uniform weights enumerates 2^K cuts.
+        If a covariance is not finite, or, before the first iteration, if
+        K > 8 and rho, rho_pair or beta_pair are not uniform across layers
+        (see PenaltyWeights.tied): prox.symmetric_fused_prox builds the
+        fused prox, which for non-uniform weights enumerates 2^K cuts.
     """
     cov_stack = _cov_stack(covs)
     k, o, _ = cov_stack.shape
     if w.n_layers != k:
         raise InvalidInput(f"weights describe {w.n_layers} layers but {k} covariances given")
-    s_uniform = _is_uniform(w.rho, w.rho_pair)
-    p_uniform = _is_uniform(np.zeros(k), w.beta_pair)
-    if k > _MAX_GENERAL_LAYERS and not (s_uniform and p_uniform):
-        raise InvalidInput(
-            f"non-uniform rho, rho_pair or beta_pair need a fused prox exponential in K; "
-            f"K={k} exceeds {_MAX_GENERAL_LAYERS} layers, use PenaltyWeights.tied")
-    s_upper, s_lower = _triangle(o, 0 if w.penalize_diagonal else 1)
-    p_upper, p_lower = _triangle(o, 0)
+    s_fused = symmetric_fused_prox(w.rho, w.rho_pair, o, w.penalize_diagonal)
+    p_fused = symmetric_fused_prox(np.zeros(k), w.beta_pair, o, True)
 
     def s_prox(v, sigma):
-        a = _mirrored_fused_update(v, s_upper, s_lower, w.rho, w.rho_pair, sigma, s_uniform)
-        return _project_admissible(a, cfg.admissible_set)
-
-    def p_fused_prox(v, sigma):
-        return _mirrored_fused_update(v, p_upper, p_lower, np.zeros(k), w.beta_pair, sigma,
-                                      p_uniform)
+        return _project_admissible(s_fused(v, sigma), cfg.admissible_set)
 
     x_proxes = (lambda v, sigma: prox_logdet(v, cov_stack, sigma), s_prox,
-                lambda v, sigma: prox_psd_trace(v, w.beta / sigma), p_fused_prox)
+                lambda v, sigma: prox_psd_trace(v, w.beta / sigma), p_fused)
 
     def z_step(t, sigma):
         # least-squares consensus for x = (Z_S - Z_P, Z_S, Z_P, Z_P)
@@ -503,8 +453,8 @@ def _identity(z):
 def solve_gl(cov, lam: float, cfg: SolverConfig = SolverConfig(),
              penalize_diagonal: bool = False):
     """Graphical lasso via ADMM on tr(SC) - logdet S + lam ||S||_1."""
-    if lam < 0:
-        raise InvalidInput(f"lambda must be nonnegative, got {lam}")
+    if not 0 <= lam < np.inf:
+        raise InvalidInput(f"lambda must be finite and nonnegative, got {lam}")
     c = _cov_stack([cov])[0]
 
     def z_step(t, sigma):
@@ -525,8 +475,8 @@ def solve_ggl(covs, lambda1: float, lambda2: float, cfg: SolverConfig = SolverCo
     (lambda2) on each off-diagonal entry; the prox of the group term is
     a blockwise group soft-threshold applied after the elementwise one.
     """
-    if lambda1 < 0 or lambda2 < 0:
-        raise InvalidInput("lambda1 and lambda2 must be nonnegative")
+    if not (0 <= lambda1 < np.inf and 0 <= lambda2 < np.inf):
+        raise InvalidInput("lambda1 and lambda2 must be finite and nonnegative")
     cov_stack = _cov_stack(covs)
     k, o, _ = cov_stack.shape
     diag = np.eye(o, dtype=bool)

@@ -71,12 +71,16 @@ def test_config_rejections(tmp_path):
         build_config("tc1", {}, n_hidden=10, n=10)
     for bad in ({"rho_grid": "0.05,nan"}, {"beta_grid": "0.1,-1"}, {"eta_grid": "inf"},
                 {"step": "nan"}, {"pd_floor": "inf"}, {"tol_primal": "nan"},
-                {"admissible_set": "bogus"}):
+                {"admissible_set": "bogus"}, {"m": "abc"}, {"max_iters": "nan"},
+                {"k_sweep": "2,x"}, {"rho_grid": "0.1,y"}):
         with pytest.raises(ConfigError):
             build_config("tc1", {}, **bad)
     path = tmp_path / "cfg.txt"
     path.write_text("experiment = tc2\n", encoding="utf-8")
     with pytest.raises(ConfigError):
+        build_config("tc1", parse_config_file(path))
+    path.write_text("n = twenty\n", encoding="utf-8")
+    with pytest.raises(ConfigError, match="n = 'twenty'"):
         build_config("tc1", parse_config_file(path))
 
 
@@ -267,6 +271,12 @@ def test_cli_run_rejects_unknown_key(tmp_path, capsys):
     code = main(["run", "tc1", "--out", str(tmp_path / "x.csv"), "--bogus", "1"])
     assert code == 2
     assert "error" in capsys.readouterr().err
+
+
+def test_cli_run_rejects_malformed_value(tmp_path, capsys):
+    code = main(["run", "tc1", "--out", str(tmp_path / "y.csv"), "--m", "abc"])
+    assert code == 2
+    assert "m = 'abc'" in capsys.readouterr().err
 
 
 def test_cli_solve_and_oracle(tmp_path, capsys):

@@ -4,10 +4,11 @@ import tracemalloc
 import numpy as np
 import pytest
 
+import ggm.prox as prox
 from ggm.errors import InvalidInput
 from ggm.metrics import mean_normalized_error
 from ggm.sampling import ObservedCovariances
-from ggm.prox import prox_fused_l1
+from ggm.prox import _fused_columns, prox_fused_l1, soft_threshold, symmetric_fused_prox
 from ggm.solvers import (
     GGLProblem,
     GLProblem,
@@ -23,7 +24,6 @@ from ggm.solvers import (
     solve_joint_hidden,
     solve_lvgl,
 )
-from ggm.solvers import _fused_update, _mirrored_fused_update, _triangle
 
 from _oracles import naive_joint_objective, random_pd_matrix, random_tiny_instance
 
@@ -150,6 +150,11 @@ _NONFINITE_SETTINGS = {
     "pair weight nan": lambda: prox_fused_l1([1.0, 2.0, 0.5], 0.1, [np.nan, 0.2, 0.3]),
     "lambda1 nan": lambda: prox_fused_l1([1.0, 2.0], np.nan, 0.1),
     "lambda1 inf": lambda: prox_fused_l1([1.0, 2.0], [0.1, np.inf], 0.1),
+    "gl lambda nan": lambda: solve_gl(np.eye(2), np.nan),
+    "gl lambda inf": lambda: solve_gl(np.eye(2), np.inf),
+    "ggl lambda1 nan": lambda: solve_ggl([np.eye(2)] * 2, np.nan, 0.1),
+    "ggl lambda2 inf": lambda: solve_ggl([np.eye(2)] * 2, 0.1, np.inf),
+    "soft_threshold nan": lambda: soft_threshold(np.ones((2, 2)), np.nan),
 }
 
 
@@ -232,7 +237,7 @@ def test_joint_nonuniform_weights_at_eight_layers():
 
 
 @pytest.mark.parametrize("k, penalize_diagonal", [(3, False), (3, True), (1, False)])
-def test_mirrored_fused_update_is_full_update_of_symmetric_part(k, penalize_diagonal):
+def test_symmetric_fused_prox_is_full_update_of_symmetric_part(k, penalize_diagonal):
     rng = np.random.default_rng(10 + k)
     o = 6
     v = rng.normal(0.0, 0.5, (k, o, o))            # not symmetric
@@ -241,16 +246,30 @@ def test_mirrored_fused_update_is_full_update_of_symmetric_part(k, penalize_diag
     pair = np.full((k, k), 0.07)
     sigma = 0.8
     # S block: strict upper triangle, plus the diagonal when it is penalized
-    upper, lower = _triangle(o, 0 if penalize_diagonal else 1)
-    got = _mirrored_fused_update(v, upper, lower, rho, pair, sigma, True).reshape(k, -1)
+    got = symmetric_fused_prox(rho, pair, o, penalize_diagonal)(v, sigma).reshape(k, -1)
     want = sym.copy()
     cols = np.ones(o * o, dtype=bool) if penalize_diagonal else ~np.eye(o, dtype=bool).ravel()
-    want[:, cols] = _fused_update(sym[:, cols], rho, pair, sigma, True)
+    want[:, cols] = _fused_columns(rho, pair, 8)(sym[:, cols], sigma)
     assert np.max(np.abs(got - want)) <= 1e-12
     # P block: upper triangle with the diagonal, no l1 weight
-    upper, lower = _triangle(o, 0)
-    got = _mirrored_fused_update(v, upper, lower, np.zeros(k), pair, sigma, True).reshape(k, -1)
-    assert np.max(np.abs(got - _fused_update(sym, np.zeros(k), pair, sigma, True))) <= 1e-12
+    got = symmetric_fused_prox(np.zeros(k), pair, o, True)(v, sigma).reshape(k, -1)
+    assert np.max(np.abs(got - _fused_columns(np.zeros(k), pair, 8)(sym, sigma))) <= 1e-12
+
+
+def test_fused_path_is_chosen_once_per_block(monkeypatch):
+    # the fused prox of S and of P each choose their path once per solve,
+    # not once per iteration
+    calls = []
+    is_uniform = prox._is_uniform
+    monkeypatch.setattr(prox, "_is_uniform", lambda *a: calls.append(a) or is_uniform(*a))
+    rng = np.random.default_rng(12)
+    covs = random_tiny_instance(rng, o=4, k=3)
+    cfg = SolverConfig(max_iters=30, tol_primal=1e-14, tol_dual=1e-14)
+    est = solve_joint_hidden(covs, PenaltyWeights.tied(3, 0.1, 0.2, 0.05, 0.04), cfg)
+    assert est.iterations == 30 and len(calls) == 2
+    calls.clear()
+    solve_lvgl(covs[0], 0.1, 0.2, cfg)
+    assert len(calls) == 2
 
 
 def test_joint_sixteen_layers_bounded_memory():
