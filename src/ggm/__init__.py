@@ -21,7 +21,7 @@ from .graphs import (
     marginal_precision,
     to_precision,
 )
-from .metrics import EvalReport, evaluate, mean_normalized_error, support_f1
+from .metrics import mean_normalized_error, support_f1
 from .prox import (
     prox_fused_l1,
     prox_logdet,

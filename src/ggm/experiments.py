@@ -83,12 +83,10 @@ class ExperimentConfig:
     beta_grid: tuple[float, ...] = _logspace(-2, 0.5, 5)
     eta_grid: tuple[float, ...] = (0.5, 1.0, 2.0)
     # solver (looser than SolverConfig's defaults: a sweep runs thousands of solves)
-    step: float = 1.0
     max_iters: int = 800
     tol_primal: float = 1e-4
     tol_dual: float = 1e-4
     admissible_set: str = "symmetric"
-    pd_floor: float = 1e-8
     # tc3 data
     data_files: tuple[str, ...] = ()
     synthetic_substitute: bool = False
@@ -126,9 +124,8 @@ class ExperimentConfig:
                 raise ConfigError(f"{name} values must be finite and nonnegative")
         try:
             object.__setattr__(self, "_solver_config", SolverConfig(
-                step=self.step, max_iters=self.max_iters, tol_primal=self.tol_primal,
-                tol_dual=self.tol_dual, admissible_set=self.admissible_set,
-                pd_floor=self.pd_floor))
+                max_iters=self.max_iters, tol_primal=self.tol_primal, tol_dual=self.tol_dual,
+                admissible_set=self.admissible_set))
         except ValueError as exc:
             raise ConfigError(f"solver settings: {exc}") from exc
 
@@ -146,11 +143,18 @@ _DEFAULT_SWEEPS = {
     "tc3": {"o_sweep": (25, 26, 27, 28, 29, 30, 31), "n": 32, "k": 4},
 }
 
+
+def _parse_item(kind: type, raw):
+    """kind(raw), refusing to truncate a non-integral number to an int."""
+    value = kind(raw)
+    if kind is int and not isinstance(raw, str) and value != raw:
+        raise ValueError(f"{raw!r} is not an integer")
+    return value
+
+
 def _parse_value(name: str, raw):
     """Convert a raw value to the type its ExperimentConfig field declares;
-    a tuple field takes a comma-separated list."""
-    if isinstance(raw, (tuple, list)):
-        return tuple(raw)
+    a tuple field takes a comma-separated list or a sequence of items."""
     text = str(raw).strip()
     target = ExperimentConfig.__dataclass_fields__[name].type
     if target is bool:
@@ -162,10 +166,11 @@ def _parse_value(name: str, raw):
         raise ConfigError(f"{name} expects a boolean, got {raw!r}")
     try:
         if typing.get_origin(target) is tuple:
-            item = typing.get_args(target)[0]
-            return tuple(item(v.strip()) for v in text.split(",") if v.strip())
+            items = raw if isinstance(raw, (tuple, list)) else \
+                [v.strip() for v in text.split(",") if v.strip()]
+            return tuple(_parse_item(typing.get_args(target)[0], v) for v in items)
         return target(text)
-    except ValueError as exc:
+    except (TypeError, ValueError, OverflowError) as exc:
         raise ConfigError(f"cannot read {name} = {raw!r}: {exc}") from exc
 
 
@@ -402,11 +407,12 @@ def run_experiment(cfg: ExperimentConfig) -> RunResult:
     the held-out realization (index n_realizations, never a Monte Carlo
     one), then score all methods on every Monte Carlo realization. Both
     phases map one task function over the same process pool (the builtin
-    map when workers = 1)."""
+    map when workers = 1), of at most one process per CPU."""
     start = time.time()
     fixed_graphs = load_tc3_layers(cfg) if cfg.experiment == "tc3" else None
     sweep_indices = range(len(cfg.sweep))
-    with ProcessPoolExecutor(cfg.workers, initializer=_one_blas_thread) \
+    with ProcessPoolExecutor(min(cfg.workers, os.cpu_count() or 1),
+                             initializer=_one_blas_thread) \
             if cfg.workers > 1 else nullcontext() as pool:
         mapper = pool.map if pool else map
         # Joint's grid, then LVGL's, is most of the selection time: queue them first.

@@ -6,7 +6,7 @@ precision matrix, hidden-node partitions, and the observed/hidden block
 views of a matrix.
 """
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -110,15 +110,10 @@ class BlockPartition:
 
 @dataclass(frozen=True)
 class MultiLayerFamily:
-    """K precision graphs over a common node set with a shared partition.
-
-    support_diff[k, k'] records how many off-diagonal entries differ
-    between the supports of layers k and k'.
-    """
+    """K precision graphs over a common node set with a shared partition."""
 
     layers: tuple
     partition: BlockPartition
-    support_diff: np.ndarray = field(default=None)
 
     def __post_init__(self):
         layers = tuple(self.layers)
@@ -129,21 +124,18 @@ class MultiLayerFamily:
             raise InvalidInput("all layers must share the node set")
         if self.partition.n != n:
             raise InvalidInput("partition size does not match the layers")
-        diff = self.support_diff
-        if diff is None:
-            k = len(layers)
-            diff = np.zeros((k, k), dtype=int)
-            for a in range(k):
-                for b in range(a + 1, k):
-                    d = np.count_nonzero(
-                        (layers[a].graph.adjacency != 0) != (layers[b].graph.adjacency != 0))
-                    diff[a, b] = diff[b, a] = d
         object.__setattr__(self, "layers", layers)
-        object.__setattr__(self, "support_diff", np.asarray(diff, dtype=int))
 
     @property
     def n_layers(self) -> int:
         return len(self.layers)
+
+    @property
+    def support_diff(self) -> np.ndarray:
+        """(K, K) ints: entry (k, k') counts the off-diagonal entries that
+        differ between the supports of layers k and k'."""
+        support = np.array([layer.graph.adjacency != 0 for layer in self.layers])
+        return np.count_nonzero(support[:, None] != support[None], axis=(-2, -1))
 
 
 def _rng(seed) -> np.random.Generator:

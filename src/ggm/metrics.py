@@ -1,17 +1,7 @@
 """Evaluation of estimated precision matrices against ground truth."""
-from dataclasses import dataclass
-
 import numpy as np
 
 from .errors import DegenerateInput, InvalidInput
-
-
-@dataclass(frozen=True)
-class EvalReport:
-    mean_error: float
-    per_layer_error: np.ndarray
-    support_f1: np.ndarray
-    runtime_seconds: float
 
 
 def _unit(a, role):
@@ -74,11 +64,3 @@ def support_f1(est, truth, threshold: float = 0.1) -> float:
     precision = tp / (tp + fp)
     recall = tp / (tp + fn)
     return 2 * precision * recall / (precision + recall)
-
-
-def evaluate(est, truth, runtime_seconds: float = 0.0,
-             threshold: float = 0.1) -> EvalReport:
-    """Bundle the mean error and per-layer diagnostics into a report."""
-    per_layer = per_layer_normalized_error(est, truth)
-    f1 = np.array([support_f1(e, t, threshold) for e, t in zip(est, truth)])
-    return EvalReport(float(per_layer.mean()), per_layer, f1, runtime_seconds)

@@ -55,14 +55,15 @@ def prox_logdet(a, c, tau: float):
 
 
 def soft_threshold(a, lam: float, penalize_diagonal: bool = False):
-    """Elementwise l1 prox; the diagonal is left untouched unless requested."""
+    """Elementwise l1 prox; the diagonal of a square matrix, or of each
+    matrix of a stack (..., o, o), is left untouched unless requested."""
     if not 0 <= lam < np.inf:
         raise InvalidInput(f"lambda must be finite and nonnegative, got {lam}")
     a = np.asarray(a, dtype=float)
     out = np.sign(a) * np.maximum(np.abs(a) - lam, 0.0)
-    if not penalize_diagonal and a.ndim == 2 and a.shape[0] == a.shape[1]:
-        idx = np.diag_indices_from(a)
-        out[idx] = a[idx]
+    if not penalize_diagonal and a.ndim >= 2 and a.shape[-2] == a.shape[-1]:
+        idx = np.arange(a.shape[-1])
+        out[..., idx, idx] = a[..., idx, idx]
     return out
 
 

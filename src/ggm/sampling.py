@@ -92,18 +92,14 @@ def observed_sample_cov(x: np.ndarray, part: BlockPartition) -> np.ndarray:
     return symmetrize(xo @ xo.T / x.shape[1])
 
 
-def sample_family(family: MultiLayerFamily, m, base_seed: int):
-    """Sample every layer of a family and form its observed covariances.
+def sample_family(family: MultiLayerFamily, m: int, base_seed: int):
+    """Sample m signals of every layer of a family and form its observed
+    covariances.
 
     Layer k uses seed base_seed + k, so per-layer sampling may run
-    concurrently with independent streams. ``m`` is an int shared by all
-    layers or a sequence of per-layer counts.
+    concurrently with independent streams.
     """
-    counts = [int(m)] * family.n_layers if np.isscalar(m) else [int(v) for v in m]
-    if len(counts) != family.n_layers:
-        raise InvalidInput("need one sample count per layer")
-    signals = tuple(
-        sample_gmrf(layer, mk, base_seed + k)
-        for k, (layer, mk) in enumerate(zip(family.layers, counts)))
+    signals = tuple(sample_gmrf(layer, m, base_seed + k)
+                    for k, layer in enumerate(family.layers))
     covs = tuple(observed_sample_cov(x, family.partition) for x in signals)
-    return SampleSet(signals), ObservedCovariances(covs, tuple(counts))
+    return SampleSet(signals), ObservedCovariances(covs, (m,) * family.n_layers)

@@ -22,7 +22,7 @@ their prox steps and linear maps.
 A slow projected-subgradient reference solver for tiny instances is
 provided as an independent check of the ADMM solutions.
 """
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from enum import Enum
 
 import numpy as np
@@ -40,6 +40,8 @@ from .prox import (
 from .sampling import ObservedCovariances
 
 _EPS = 1e-12
+# Smallest eigenvalue of S - P that the solvers return and the oracle keeps.
+_PD_FLOOR = 1e-8
 # Residual balancing: the step grows or shrinks by _ADAPT_FACTOR when one
 # relative residual exceeds the other by more than _ADAPT_RATIO.
 _ADAPT_RATIO = 10.0
@@ -55,20 +57,20 @@ class AdmissibleSet(Enum):
 
 @dataclass(frozen=True)
 class SolverConfig:
-    """Operator-splitting knobs shared by all solvers."""
+    """Stopping rule and constraint set shared by all solvers.
 
-    step: float = 1.0
+    Every ADMM solve starts from step 1, which residual balancing then
+    adapts, and floors the spectrum of its returned S - P at 1e-8.
+    """
+
     max_iters: int = 2000
     tol_primal: float = 1e-5
     tol_dual: float = 1e-5
     admissible_set: AdmissibleSet = AdmissibleSet.SYMMETRIC
-    pd_floor: float = 1e-8
 
     def __post_init__(self):
         if isinstance(self.admissible_set, str):
             object.__setattr__(self, "admissible_set", AdmissibleSet(self.admissible_set.lower()))
-        if not (0 < self.step < np.inf and 0 < self.pd_floor < np.inf):
-            raise InvalidInput("step and pd_floor must be positive and finite")
         if self.max_iters < 1:
             raise InvalidInput("max_iters must be at least 1")
         if not (0 < self.tol_primal < np.inf and 0 < self.tol_dual < np.inf):
@@ -97,6 +99,8 @@ class PenaltyWeights:
         rho = np.atleast_1d(np.asarray(self.rho, dtype=float))
         beta = np.atleast_1d(np.asarray(self.beta, dtype=float))
         k = rho.size
+        if k < 1:
+            raise InvalidInput("weights need at least one layer")
         if beta.size != k:
             raise InvalidInput("rho and beta must have one entry per layer")
         if not (np.isfinite(rho).all() and np.isfinite(beta).all()):
@@ -337,7 +341,7 @@ def _admm(x_proxes, z_step, lift, z0, cfg, name):
     z = tuple(z0)
     lz = lift(z)
     duals = [np.zeros_like(v) for v in lz]
-    sigma = cfg.step
+    sigma = 1.0
     history = []
     converged = False
     for it in range(cfg.max_iters):
@@ -362,15 +366,15 @@ def _admm(x_proxes, z_step, lift, z0, cfg, name):
     return x, z, it + 1, converged, np.asarray(history)
 
 
-def _floor_spectrum(s, p, pd_floor):
+def _floor_spectrum(s, p):
     """Symmetrize the stack s (K, o, o) and shift each S^k by a multiple of
     the identity so that S^k - P^k (S^k when p is None) has no eigenvalue
-    below pd_floor. A guard for capped exits; a no-op on converged ones."""
+    below _PD_FLOOR. A guard for capped exits; a no-op on converged ones."""
     s = 0.5 * (s + np.swapaxes(s, -1, -2))
     lam_min = np.linalg.eigvalsh(s if p is None else s - p).min(axis=-1)
-    low = lam_min < pd_floor
+    low = lam_min < _PD_FLOOR
     if low.any():
-        s[low] += (pd_floor - lam_min[low])[:, None, None] * np.eye(s.shape[-1])
+        s[low] += (_PD_FLOOR - lam_min[low])[:, None, None] * np.eye(s.shape[-1])
     return s
 
 
@@ -416,7 +420,7 @@ def solve_joint_hidden(covs, w: PenaltyWeights, cfg: SolverConfig = SolverConfig
     x, _, iterations, converged, history = _admm(
         x_proxes, z_step, lambda z: (z[0] - z[1], z[0], z[1], z[1]), z0, cfg, "joint solver")
     p_hat = 0.5 * (x[2] + np.swapaxes(x[2], 1, 2))
-    s_hat = _floor_spectrum(x[1], p_hat, cfg.pd_floor)
+    s_hat = _floor_spectrum(x[1], p_hat)
     return JointEstimate(
         s_hat=tuple(s_hat),
         p_hat=tuple(p_hat),
@@ -464,7 +468,7 @@ def solve_gl(cov, lam: float, cfg: SolverConfig = SolverConfig(),
     x_proxes = (lambda v, sigma: symmetrize(prox_logdet(v, c, sigma)),)
     _, z, _, _, _ = _admm(x_proxes, z_step, _identity, (np.eye(c.shape[0]),), cfg,
                           "graphical lasso")
-    return _floor_spectrum(z[0][None], None, cfg.pd_floor)[0]
+    return _floor_spectrum(z[0][None], None)[0]
 
 
 def solve_ggl(covs, lambda1: float, lambda2: float, cfg: SolverConfig = SolverConfig(),
@@ -483,7 +487,7 @@ def solve_ggl(covs, lambda1: float, lambda2: float, cfg: SolverConfig = SolverCo
 
     def z_step(t, sigma):
         v = t[0]
-        z = np.sign(v) * np.maximum(np.abs(v) - lambda1 / sigma, 0.0)
+        z = soft_threshold(v, lambda1 / sigma, penalize_diagonal)
         group = np.sqrt(np.sum(z * z, axis=0))
         z = z * np.maximum(0.0, 1.0 - (lambda2 / sigma) / np.maximum(group, 1e-300))
         if not penalize_diagonal:
@@ -493,7 +497,7 @@ def solve_ggl(covs, lambda1: float, lambda2: float, cfg: SolverConfig = SolverCo
     z0 = (np.broadcast_to(np.eye(o), (k, o, o)).copy(),)
     x_proxes = (lambda v, sigma: prox_logdet(v, cov_stack, sigma),)
     _, z, _, _, _ = _admm(x_proxes, z_step, _identity, z0, cfg, "group graphical lasso")
-    return list(_floor_spectrum(z[0], None, cfg.pd_floor))
+    return list(_floor_spectrum(z[0], None))
 
 
 # ---------------------------------------------------------------------------
@@ -588,16 +592,16 @@ def _oracle_pieces(problem):
     raise InvalidInput(f"unknown oracle problem type {type(problem).__name__}")
 
 
-def reference_oracle(problem, budget: int = 100_000, step0: float = 0.5,
-                     stage_len: int = 800, pd_floor: float = 1e-8,
-                     start=None) -> OracleSolution:
+def reference_oracle(problem, budget: int = 100_000, start=None) -> OracleSolution:
     """Solve a tiny convex instance by projected subgradient descent.
 
-    Normalized subgradient steps with a diminishing schedule (constant
-    within a stage, geometrically shrunk between stages, restarting each
-    stage from the best feasible iterate found so far). P is projected
-    onto the PSD cone and S - P onto {min eig >= pd_floor} after every
-    step. Only instances with O <= 5 and K <= 3 are accepted.
+    Normalized subgradient steps with a diminishing schedule: a step of
+    0.5 for the first stage of 800 steps, shrunk by 0.7 between stages,
+    each stage restarting from the best feasible iterate found so far.
+    P is projected onto the PSD cone and S - P onto {min eig >= 1e-8}
+    after every step. ``budget`` caps the total steps; ``start`` is an
+    optional (s_list, p_list) starting point. Only instances with O <= 5
+    and K <= 3 are accepted.
     """
     cov_stack, objective, subgrad, has_latent = _oracle_pieces(problem)
     k, o = cov_stack.shape[:2]
@@ -620,9 +624,9 @@ def reference_oracle(problem, budget: int = 100_000, step0: float = 0.5,
             p = (q * np.maximum(g, 0.0)[:, None, :]) @ np.swapaxes(q, 1, 2)
         r = s - p
         g, q = np.linalg.eigh(r)
-        bad = g[:, 0] < pd_floor
+        bad = g[:, 0] < _PD_FLOOR
         if np.any(bad):
-            g = np.maximum(g, pd_floor)
+            g = np.maximum(g, _PD_FLOOR)
             r = (q * g[:, None, :]) @ np.swapaxes(q, 1, 2)
             s = np.where(bad[:, None, None], p + r, s)
         return s, p
@@ -630,10 +634,10 @@ def reference_oracle(problem, budget: int = 100_000, step0: float = 0.5,
     s, p = project(s, p)
     best_s, best_p = s.copy(), p.copy()
     best_val = objective(s, p)
-    step = step0
+    step = 0.5
     spent = 0
     while spent < budget and step > 1e-10:
-        for _ in range(min(stage_len, budget - spent)):
+        for _ in range(min(800, budget - spent)):
             spent += 1
             rinv = np.linalg.inv(s - p)
             rinv = 0.5 * (rinv + np.swapaxes(rinv, 1, 2))

@@ -5,6 +5,7 @@ from concurrent.futures import ProcessPoolExecutor
 import numpy as np
 import pytest
 
+from ggm import experiments
 from ggm.cli import main
 from ggm.errors import ConfigError
 from ggm.experiments import (
@@ -54,6 +55,9 @@ def test_config_file_and_overrides(tmp_path):
     mapping = parse_config_file(path)
     cfg = build_config("tc1", mapping, m="75")
     assert cfg.n == 12 and cfg.k_sweep == (1, 3) and cfg.base_seed == 5 and cfg.m == 75
+    cfg = build_config("tc1", {}, k_sweep=[2, 3.0], rho_grid=(0.1, 0.5))
+    assert cfg.k_sweep == (2, 3) and cfg.rho_grid == (0.1, 0.5)
+    assert all(type(v) is int for v in cfg.k_sweep)
 
 
 def test_config_rejections(tmp_path):
@@ -70,10 +74,15 @@ def test_config_rejections(tmp_path):
     with pytest.raises(ConfigError):
         build_config("tc1", {}, n_hidden=10, n=10)
     for bad in ({"rho_grid": "0.05,nan"}, {"beta_grid": "0.1,-1"}, {"eta_grid": "inf"},
-                {"step": "nan"}, {"pd_floor": "inf"}, {"tol_primal": "nan"},
-                {"admissible_set": "bogus"}, {"m": "abc"}, {"max_iters": "nan"},
-                {"k_sweep": "2,x"}, {"rho_grid": "0.1,y"}):
+                {"tol_primal": "nan"}, {"admissible_set": "bogus"}, {"m": "abc"},
+                {"max_iters": "nan"}, {"k_sweep": "2,x"}, {"rho_grid": "0.1,y"}):
         with pytest.raises(ConfigError):
+            build_config("tc1", {}, **bad)
+    # sequences are read item by item, like a comma-separated list
+    for bad in ({"k_sweep": ["a"]}, {"k_sweep": [2.5]}, {"rho_grid": ["x"]},
+                {"k_sweep": (float("inf"),)}):
+        name = next(iter(bad))
+        with pytest.raises(ConfigError, match=f"cannot read {name} = "):
             build_config("tc1", {}, **bad)
     path = tmp_path / "cfg.txt"
     path.write_text("experiment = tc2\n", encoding="utf-8")
@@ -151,6 +160,26 @@ def test_tc1_worker_count_independent(tmp_path):
     emit_csv(serial.table, pa)
     emit_csv(pooled.table, pb)
     assert pa.read_bytes() == pb.read_bytes()
+
+
+def test_pool_is_capped_at_the_cpu_count(monkeypatch):
+    asked = []
+
+    class SerialPool:
+        def __init__(self, max_workers, initializer=None):
+            asked.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        map = staticmethod(map)
+
+    monkeypatch.setattr(experiments, "ProcessPoolExecutor", SerialPool)
+    run_experiment(tiny_tc1(k_sweep=(1,), n_realizations=1, workers=10_000))
+    assert asked == [min(10_000, os.cpu_count() or 1)]
 
 
 def test_select_params_first_minimum_per_method():
@@ -268,9 +297,10 @@ def test_cli_run_with_config_file(tmp_path, capsys):
 
 
 def test_cli_run_rejects_unknown_key(tmp_path, capsys):
-    code = main(["run", "tc1", "--out", str(tmp_path / "x.csv"), "--bogus", "1"])
-    assert code == 2
-    assert "error" in capsys.readouterr().err
+    for key in ("--bogus", "--step", "--pd-floor"):
+        code = main(["run", "tc1", "--out", str(tmp_path / "x.csv"), key, "1"])
+        assert code == 2
+        assert "unknown config key" in capsys.readouterr().err
 
 
 def test_cli_run_rejects_malformed_value(tmp_path, capsys):

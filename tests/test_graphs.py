@@ -251,7 +251,8 @@ def test_family_records_support_differences():
     graphs = gen_rewired_family(base, 3, 2, 1)
     pgs = tuple(to_precision(g, rng_seed=i) for i, g in enumerate(graphs))
     fam = MultiLayerFamily(pgs, choose_hidden(10, 1, 2))
-    assert fam.support_diff.shape == (3, 3)
+    assert fam.support_diff.shape == (3, 3) and fam.support_diff.dtype == int
+    assert not fam.support_diff.diagonal().any()
     assert np.array_equal(fam.support_diff, fam.support_diff.T)
     assert fam.support_diff[0, 1] <= 4 * 2
     assert fam.support_diff[1, 2] <= 8 * 2   # variant-to-variant bound

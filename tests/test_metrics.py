@@ -4,7 +4,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from ggm.errors import DegenerateInput, InvalidInput
-from ggm.metrics import evaluate, mean_normalized_error, support_f1
+from ggm.metrics import mean_normalized_error, support_f1
 
 
 def test_error_zero_when_equal():
@@ -83,13 +83,3 @@ def test_support_f1_half():
     for i, j in [(0, 1), (0, 2), (0, 3), (2, 4)]:
         est[i, j] = est[j, i] = 1.0
     assert support_f1(est, truth, 0.1) == pytest.approx(0.5)
-
-
-def test_evaluate_report_consistency():
-    rng = np.random.default_rng(1)
-    est = [rng.standard_normal((3, 3)) for _ in range(2)]
-    truth = [rng.standard_normal((3, 3)) for _ in range(2)]
-    rep = evaluate(est, truth, runtime_seconds=1.5)
-    assert rep.mean_error == pytest.approx(rep.per_layer_error.mean())
-    assert np.all((rep.support_f1 >= 0) & (rep.support_f1 <= 1))
-    assert rep.runtime_seconds == 1.5

@@ -1,5 +1,6 @@
-"""The benchmark under perfbench/ wraps module attributes of ggm by name;
-a refactor that drops one breaks its traced runs with an AttributeError."""
+"""The benchmark under perfbench/ wraps module attributes of ggm by name
+and passes config keys and SolverConfig arguments by name; a refactor that
+drops one breaks its runs."""
 import os
 
 import numpy as np
@@ -25,3 +26,12 @@ def test_tracer_installs_and_counts_the_fused_kernel(monkeypatch):
     assert prox.fused_prox_stack is fused
     # one fused prox on S and one on P per iteration, seen through prox's global
     assert tracer.name.count("prox.fused_prox_stack") == 2 * est.iterations
+
+
+def test_every_workload_builds_and_warms_up(monkeypatch):
+    monkeypatch.syspath_prepend(_PERFBENCH)
+    import workloads
+
+    for workload in workloads.WORKLOADS.values():
+        # each warm-up runs 2-iteration solves through the public API
+        workload.warm_up(workload.make_inputs(1))

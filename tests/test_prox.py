@@ -103,6 +103,15 @@ def test_soft_threshold_diagonal_convention():
     assert np.allclose(soft_threshold(a, 1.0, penalize_diagonal=True), np.diag([1.0, -2.0]))
 
 
+@pytest.mark.parametrize("penalize_diagonal", [False, True])
+def test_soft_threshold_stack_equals_per_matrix_calls(penalize_diagonal):
+    rng = np.random.default_rng(3)
+    stack = rng.normal(0.0, 1.0, (2, 3, 4, 4))
+    out = soft_threshold(stack, 0.5, penalize_diagonal)
+    for idx in np.ndindex(stack.shape[:2]):
+        assert np.array_equal(out[idx], soft_threshold(stack[idx], 0.5, penalize_diagonal))
+
+
 def test_soft_threshold_rejects_negative_lambda():
     with pytest.raises(InvalidInput):
         soft_threshold(np.eye(2), -0.1)

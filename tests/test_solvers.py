@@ -10,6 +10,7 @@ from ggm.metrics import mean_normalized_error
 from ggm.sampling import ObservedCovariances
 from ggm.prox import _fused_columns, prox_fused_l1, soft_threshold, symmetric_fused_prox
 from ggm.solvers import (
+    _PD_FLOOR,
     GGLProblem,
     GLProblem,
     JointProblem,
@@ -112,7 +113,7 @@ def test_joint_estimate_invariants():
     for s, p in zip(est.s_hat, est.p_hat):
         assert np.array_equal(s, s.T) and np.array_equal(p, p.T)
         assert np.linalg.eigvalsh(p).min() >= -1e-8
-        assert np.linalg.eigvalsh(s - p).min() >= cfg.pd_floor / 2
+        assert np.linalg.eigvalsh(s - p).min() >= _PD_FLOOR / 2
     recomputed = joint_objective(list(est.s_hat), list(est.p_hat), covs, w)
     assert est.objective == pytest.approx(recomputed, rel=1e-9)
     assert est.residual_history.shape == (est.iterations, 2)
@@ -143,8 +144,6 @@ _NONFINITE_SETTINGS = {
     "beta inf": lambda: PenaltyWeights.tied(2, 0.1, np.inf),
     "rho_pair nan": lambda: PenaltyWeights.tied(2, 0.1, 0.1, np.nan, 0.0),
     "beta_pair inf": lambda: PenaltyWeights.tied(2, 0.1, 0.1, 0.0, np.inf),
-    "step nan": lambda: SolverConfig(step=np.nan),
-    "pd_floor inf": lambda: SolverConfig(pd_floor=np.inf),
     "tol_primal nan": lambda: SolverConfig(tol_primal=np.nan),
     "tol_dual inf": lambda: SolverConfig(tol_dual=np.inf),
     "pair weight nan": lambda: prox_fused_l1([1.0, 2.0, 0.5], 0.1, [np.nan, 0.2, 0.3]),
@@ -162,6 +161,11 @@ _NONFINITE_SETTINGS = {
 def test_nonfinite_weights_and_settings_fail_fast(make):
     with pytest.raises(InvalidInput, match="finite"):
         make()
+
+
+def test_penalty_weights_reject_zero_layers():
+    with pytest.raises(InvalidInput, match="at least one layer"):
+        PenaltyWeights(np.array([]), np.array([]), 0.0, 0.0)
 
 
 def test_joint_deterministic():
