@@ -29,20 +29,17 @@ from .prox import (
     soft_threshold,
     symmetrize,
 )
-from .sampling import ObservedCovariances, SampleSet, observed_sample_cov, sample_family, sample_gmrf
+from .sampling import ObservedCovariances, observed_sample_cov, sample_family, sample_gmrf
 from .solvers import (
     AdmissibleSet,
     GGLProblem,
-    GLProblem,
     JointEstimate,
     JointProblem,
     OracleSolution,
     PenaltyWeights,
     SolverConfig,
     ggl_objective,
-    gl_objective,
     joint_objective,
-    joint_objective_l0,
     reference_oracle,
     solve_ggl,
     solve_gl,

@@ -55,7 +55,12 @@ def _logspace(lo_exp, hi_exp, num):
 
 @dataclass(frozen=True)
 class ExperimentConfig:
-    """Flat, file-friendly description of one benchmark run."""
+    """Flat, file-friendly description of one benchmark run.
+
+    Every field is converted to its declared type on construction (see
+    _parse_value), so a config built directly is checked like one read
+    from a file.
+    """
 
     experiment: str
     # graph family
@@ -93,6 +98,8 @@ class ExperimentConfig:
     binarize: bool = False
 
     def __post_init__(self):
+        for f in fields(self):
+            object.__setattr__(self, f.name, _parse_value(f.name, getattr(self, f.name)))
         if self.experiment not in EXPERIMENTS:
             raise ConfigError(f"experiment must be one of {EXPERIMENTS}, got {self.experiment!r}")
         for name in ("n", "k", "m", "n_realizations", "max_iters", "workers", "neighbors"):
@@ -107,12 +114,12 @@ class ExperimentConfig:
             if name == _SWEEP_AXES[self.experiment]:
                 if not values:
                     raise ConfigError(f"{self.experiment} requires a nonempty {name}")
-                if any(int(v) < 1 for v in values):
+                if any(v < 1 for v in values):
                     raise ConfigError(f"{name} values must be positive")
             elif values:
                 raise ConfigError(f"{name} is not a sweep axis of {self.experiment}")
         if self.experiment == "tc3":
-            if any(int(o) > self.n for o in self.o_sweep):
+            if any(o > self.n for o in self.o_sweep):
                 raise ConfigError("o_sweep values cannot exceed n")
             if not self.data_files and not self.synthetic_substitute:
                 raise ConfigError("tc3 needs data_files or synthetic_substitute = true")
@@ -203,11 +210,8 @@ def build_config(experiment: str, mapping=None, **overrides) -> ExperimentConfig
                 continue
             if key not in known:
                 raise ConfigError(f"unknown config key {key!r}")
-            values[key] = _parse_value(key, raw)
-    try:
-        return ExperimentConfig(experiment=experiment, **values)
-    except TypeError as exc:
-        raise ConfigError(str(exc)) from exc
+            values[key] = raw
+    return ExperimentConfig(experiment=experiment, **values)
 
 
 @dataclass(frozen=True)
@@ -300,7 +304,7 @@ def realize_cell(cfg: ExperimentConfig, sweep_index: int, realization: int,
                  fixed_graphs=None):
     """Generate one cell's data: observed covariances and true S_O blocks."""
     seeds = derive_cell_seeds(cfg.base_seed, sweep_index, realization)
-    value = int(cfg.sweep[sweep_index])
+    value = cfg.sweep[sweep_index]
     if cfg.experiment == "tc1":
         n_layers, m, n_hidden = value, cfg.m, cfg.n_hidden
         graphs = _layer_graphs(cfg, n_layers, seeds)
@@ -317,7 +321,7 @@ def realize_cell(cfg: ExperimentConfig, sweep_index: int, realization: int,
     ]
     partition = choose_hidden(cfg.n, n_hidden, seeds["hidden"])
     family = MultiLayerFamily(tuple(precisions), partition)
-    _, covs = sample_family(family, m, seeds["sample"])
+    covs = sample_family(family, m, seeds["sample"])
     truths = [block_view(pg.precision, partition)[0] for pg in precisions]
     return covs, truths
 

@@ -43,7 +43,7 @@ def prox_logdet(a, c, tau: float):
     stacks ``(..., o, o)`` of them, of one shape; only the lower triangle
     of ``a - c/tau`` is read, and the output is not symmetrized.
     """
-    if tau <= 0:
+    if not tau > 0:
         raise InvalidInput(f"tau must be positive, got {tau}")
     a = _check_stack(a, "a")
     c = _check_stack(c, "c")
@@ -81,7 +81,7 @@ def prox_psd_trace(a, kappa):
     kappa = np.asarray(kappa, dtype=float)
     if kappa.shape not in ((), a.shape[:-2]):
         raise InvalidInput(f"kappa must be a scalar or of shape {a.shape[:-2]}, got {kappa.shape}")
-    if np.any(kappa < 0):
+    if not np.all(kappa >= 0):
         raise InvalidInput(f"kappa must be nonnegative, got {kappa}")
     g, q = np.linalg.eigh(a)
     phi = np.maximum(g - kappa[..., None], 0.0)

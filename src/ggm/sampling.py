@@ -16,27 +16,6 @@ from .prox import symmetrize
 
 
 @dataclass(frozen=True)
-class SampleSet:
-    """Per-layer signal matrices, each N x M_k over a common node set."""
-
-    signals: tuple
-
-    def __post_init__(self):
-        sig = tuple(np.asarray(x, dtype=float) for x in self.signals)
-        if not sig:
-            raise InvalidInput("need at least one layer of signals")
-        n = sig[0].shape[0]
-        for x in sig:
-            if x.ndim != 2 or x.shape[0] != n or x.shape[1] < 1:
-                raise InvalidInput("signal matrices must be N x M_k with M_k >= 1 and common N")
-        object.__setattr__(self, "signals", sig)
-
-    @property
-    def counts(self):
-        return tuple(x.shape[1] for x in self.signals)
-
-
-@dataclass(frozen=True)
 class ObservedCovariances:
     """Per-layer observed sample covariances of common dimension."""
 
@@ -92,14 +71,13 @@ def observed_sample_cov(x: np.ndarray, part: BlockPartition) -> np.ndarray:
     return symmetrize(xo @ xo.T / x.shape[1])
 
 
-def sample_family(family: MultiLayerFamily, m: int, base_seed: int):
-    """Sample m signals of every layer of a family and form its observed
+def sample_family(family: MultiLayerFamily, m: int, base_seed: int) -> ObservedCovariances:
+    """Sample m signals of every layer of a family and return its observed
     covariances.
 
     Layer k uses seed base_seed + k, so per-layer sampling may run
     concurrently with independent streams.
     """
-    signals = tuple(sample_gmrf(layer, m, base_seed + k)
-                    for k, layer in enumerate(family.layers))
-    covs = tuple(observed_sample_cov(x, family.partition) for x in signals)
-    return SampleSet(signals), ObservedCovariances(covs, (m,) * family.n_layers)
+    covs = tuple(observed_sample_cov(sample_gmrf(layer, m, base_seed + k), family.partition)
+                 for k, layer in enumerate(family.layers))
+    return ObservedCovariances(covs, (m,) * family.n_layers)

@@ -14,14 +14,17 @@ on P, fused l1 on P), tied to consensus variables (Z_S, Z_P) through the
 linear map x = (Z_S - Z_P, Z_S, Z_P, Z_P). Each block's prox is one
 stack kernel of `prox`: prox_logdet, symmetric_fused_prox (which also
 picks the fused path and its layer limit) on S and on P, and
-prox_psd_trace. The single-graph baselines (GL, LVGL) and the group
-graphical lasso (GGL) reuse the same kernels, and GL, GGL and the joint
-estimator share one scaled-form ADMM loop, `_admm`, and differ only in
-their prox steps and linear maps.
+prox_psd_trace. The group graphical lasso (GGL) reuses the same kernels;
+it and the joint estimator share one scaled-form ADMM loop, `_admm`, and
+differ only in their prox steps and linear maps. The single-graph
+baselines are their one-layer cases: the graphical lasso (GL) is GGL at
+one layer with lambda2 = 0, and the latent-variable graphical lasso
+(LVGL) is the joint estimator at K = 1.
 
 A slow projected-subgradient reference solver for tiny instances is
 provided as an independent check of the ADMM solutions.
 """
+import numbers
 from dataclasses import dataclass
 from enum import Enum
 
@@ -71,8 +74,8 @@ class SolverConfig:
     def __post_init__(self):
         if isinstance(self.admissible_set, str):
             object.__setattr__(self, "admissible_set", AdmissibleSet(self.admissible_set.lower()))
-        if self.max_iters < 1:
-            raise InvalidInput("max_iters must be at least 1")
+        if not isinstance(self.max_iters, numbers.Integral) or self.max_iters < 1:
+            raise InvalidInput(f"max_iters must be an integer >= 1, got {self.max_iters!r}")
         if not (0 < self.tol_primal < np.inf and 0 < self.tol_dual < np.inf):
             raise InvalidInput("tolerances must be positive and finite")
 
@@ -146,13 +149,15 @@ def _cov_stack(covs):
     """The symmetrized covariances as one (K, o, o) stack, for the solvers.
 
     Raises InvalidInput when none is given, when they differ in
-    dimension or when one has a non-finite entry.
+    dimension, when they are empty or when one has a non-finite entry.
     """
     cov_list = _as_cov_list(covs)
     if not cov_list:
         raise InvalidInput("need at least one covariance")
     if any(c.shape != cov_list[0].shape for c in cov_list):
         raise InvalidInput("covariances must share one dimension")
+    if cov_list[0].size == 0:
+        raise InvalidInput("covariances must have at least one row")
     stack = np.asarray(cov_list)
     if not np.isfinite(stack).all():
         bad = next(i for i, c in enumerate(cov_list) if not np.isfinite(c).all())
@@ -209,70 +214,19 @@ def joint_objective(s, p, covs, w: PenaltyWeights) -> float:
     return total
 
 
-def joint_objective_l0(s, p, covs, w: PenaltyWeights, max_hidden_rank: int,
-                       tol: float = 1e-8) -> float:
-    """Combinatorial counterpart of the joint objective, evaluation only.
-
-    Counts nonzero entries where the convex program uses l1 norms and
-    enforces rank(P^k) <= max_hidden_rank where the convex program
-    minimizes the nuclear norm; +inf outside the feasible set. There is
-    no solver for this objective; it documents what the convex
-    relaxation replaces.
-    """
-    cov_list = _as_cov_list(covs)
-    k = len(cov_list)
-    if len(s) != k or len(p) != k or w.n_layers != k:
-        raise InvalidInput("s, p, covs and weights must agree on the number of layers")
-
-    def nnz_off(a):
-        count = np.count_nonzero(np.abs(a) > tol)
-        if not w.penalize_diagonal:
-            count -= np.count_nonzero(np.abs(np.diag(a)) > tol)
-        return count
-
-    total = 0.0
-    for i in range(k):
-        r = s[i] - p[i]
-        lam = np.linalg.eigvalsh(r)
-        p_eigs = np.linalg.eigvalsh(p[i])
-        if lam.min() <= 0 or p_eigs.min() < -tol:
-            return np.inf
-        if np.count_nonzero(p_eigs > tol) > max_hidden_rank:
-            return np.inf
-        total += float(np.sum(r * cov_list[i]) - np.sum(np.log(lam)))
-        total += w.rho[i] * nnz_off(s[i])
-    for i in range(k):
-        for j in range(i + 1, k):
-            total += w.rho_pair[i, j] * nnz_off(s[i] - s[j])
-            total += w.beta_pair[i, j] * np.count_nonzero(np.abs(p[i] - p[j]) > tol)
-    return total
-
-
-def _gl_terms(s, cov, lam: float, penalize_diagonal: bool):
-    """Graphical-lasso objective of each layer of the stacks s and cov
-    (K, o, o), or None when some S^k is not positive definite."""
-    ev = np.linalg.eigvalsh(s)
-    if ev.min() <= 0:
-        return None
-    fit = (s * cov).sum(axis=(-2, -1)) - np.log(ev).sum(axis=-1)
-    return fit + lam * _l1_off(s, penalize_diagonal)
-
-
-def gl_objective(s, cov, lam: float, penalize_diagonal: bool = False) -> float:
-    """Graphical-lasso objective tr(S C) - logdet S + lam ||S||_1."""
-    terms = _gl_terms(np.asarray(s, dtype=float)[None], np.asarray(cov)[None], lam,
-                      penalize_diagonal)
-    return np.inf if terms is None else terms[0]
-
-
 def ggl_objective(s_list, covs, lambda1: float, lambda2: float,
                   penalize_diagonal: bool = False) -> float:
-    """Group graphical lasso: per-layer GL terms plus a cross-layer
-    group-l2 penalty on every (off-diagonal) entry."""
+    """Group graphical lasso: per-layer graphical-lasso terms
+    tr(S C) - logdet S + lambda1 ||S||_1 plus a cross-layer group-l2
+    penalty on every (off-diagonal) entry; +inf when some S^k is not
+    positive definite. At one layer with lambda2 = 0 this is the
+    graphical-lasso objective."""
     stack = np.asarray(s_list, dtype=float)
-    terms = _gl_terms(stack, np.asarray(_as_cov_list(covs)), lambda1, penalize_diagonal)
-    if terms is None:
+    ev = np.linalg.eigvalsh(stack)
+    if ev.min() <= 0:
         return np.inf
+    terms = (stack * np.asarray(_as_cov_list(covs))).sum(axis=(-2, -1)) \
+        - np.log(ev).sum(axis=-1) + lambda1 * _l1_off(stack, penalize_diagonal)
     total = 0.0
     for term in terms:
         total += term
@@ -445,31 +399,10 @@ def solve_lvgl(cov, rho: float, beta: float, cfg: SolverConfig = SolverConfig(),
 
 
 # ---------------------------------------------------------------------------
-# Baselines: one x-block each, with their own prox steps (kept independent
-# of the joint prox steps so the reduction identities are meaningful
-# cross-checks)
+# Group graphical lasso: one x-block, with its own prox steps (kept
+# independent of the joint prox steps so the reduction identities are
+# meaningful cross-checks). The graphical lasso is its one-layer case.
 # ---------------------------------------------------------------------------
-
-def _identity(z):
-    return z
-
-
-def solve_gl(cov, lam: float, cfg: SolverConfig = SolverConfig(),
-             penalize_diagonal: bool = False):
-    """Graphical lasso via ADMM on tr(SC) - logdet S + lam ||S||_1."""
-    if not 0 <= lam < np.inf:
-        raise InvalidInput(f"lambda must be finite and nonnegative, got {lam}")
-    c = _cov_stack([cov])[0]
-
-    def z_step(t, sigma):
-        s = soft_threshold(t[0], lam / sigma, penalize_diagonal)
-        return (_project_admissible(s, cfg.admissible_set),)
-
-    x_proxes = (lambda v, sigma: symmetrize(prox_logdet(v, c, sigma)),)
-    _, z, _, _, _ = _admm(x_proxes, z_step, _identity, (np.eye(c.shape[0]),), cfg,
-                          "graphical lasso")
-    return _floor_spectrum(z[0][None], None)[0]
-
 
 def solve_ggl(covs, lambda1: float, lambda2: float, cfg: SolverConfig = SolverConfig(),
               penalize_diagonal: bool = False):
@@ -496,8 +429,19 @@ def solve_ggl(covs, lambda1: float, lambda2: float, cfg: SolverConfig = SolverCo
 
     z0 = (np.broadcast_to(np.eye(o), (k, o, o)).copy(),)
     x_proxes = (lambda v, sigma: prox_logdet(v, cov_stack, sigma),)
-    _, z, _, _, _ = _admm(x_proxes, z_step, _identity, z0, cfg, "group graphical lasso")
+    _, z, _, _, _ = _admm(x_proxes, z_step, lambda z: z, z0, cfg, "group graphical lasso")
     return list(_floor_spectrum(z[0], None))
+
+
+def solve_gl(cov, lam: float, cfg: SolverConfig = SolverConfig(),
+             penalize_diagonal: bool = False):
+    """Graphical lasso tr(SC) - logdet S + lam ||S||_1 for a single graph.
+
+    This is exactly the one-layer instance of the group graphical lasso
+    with lambda2 = 0 (the group term is vacuous), so it runs through the
+    same engine. Returns S.
+    """
+    return solve_ggl([cov], lam, 0.0, cfg, penalize_diagonal)[0]
 
 
 # ---------------------------------------------------------------------------
@@ -514,20 +458,12 @@ class JointProblem:
 
 @dataclass(frozen=True)
 class GGLProblem:
-    """Group graphical lasso objective (no latent part)."""
+    """Group graphical lasso objective (no latent part); one layer with
+    lambda2 = 0 is the graphical lasso."""
 
     covs: tuple
     lambda1: float
     lambda2: float
-    penalize_diagonal: bool = False
-
-
-@dataclass(frozen=True)
-class GLProblem:
-    """Plain graphical lasso objective (no latent part)."""
-
-    cov: np.ndarray
-    lam: float
     penalize_diagonal: bool = False
 
 
@@ -586,9 +522,6 @@ def _oracle_pieces(problem):
 
         return cov_stack, objective, subgrad, False
 
-    if isinstance(problem, GLProblem):
-        return _oracle_pieces(GGLProblem((problem.cov,), problem.lam, 0.0,
-                                         problem.penalize_diagonal))
     raise InvalidInput(f"unknown oracle problem type {type(problem).__name__}")
 
 
@@ -607,8 +540,8 @@ def reference_oracle(problem, budget: int = 100_000, start=None) -> OracleSoluti
     k, o = cov_stack.shape[:2]
     if o > 5 or k > 3:
         raise InvalidInput(f"oracle accepts O <= 5 and K <= 3, got O={o}, K={k}")
-    if budget < 1:
-        raise InvalidInput("budget must be positive")
+    if not isinstance(budget, numbers.Integral) or budget < 1:
+        raise InvalidInput(f"budget must be a positive integer, got {budget!r}")
 
     if start is None:
         s = np.broadcast_to(np.eye(o), (k, o, o)).copy()

@@ -10,6 +10,7 @@ from ggm.cli import main
 from ggm.errors import ConfigError
 from ggm.experiments import (
     METHODS,
+    ExperimentConfig,
     MethodParams,
     ResultTable,
     build_config,
@@ -84,6 +85,11 @@ def test_config_rejections(tmp_path):
         name = next(iter(bad))
         with pytest.raises(ConfigError, match=f"cannot read {name} = "):
             build_config("tc1", {}, **bad)
+    # a config built directly converts its fields like build_config
+    for bad in ({"k_sweep": (2.5,)}, {"k_sweep": ("x",)}, {"workers": 1.5}):
+        name = next(iter(bad))
+        with pytest.raises(ConfigError, match=f"cannot read {name} = "):
+            ExperimentConfig("tc1", n_realizations=1, **bad)
     path = tmp_path / "cfg.txt"
     path.write_text("experiment = tc2\n", encoding="utf-8")
     with pytest.raises(ConfigError):

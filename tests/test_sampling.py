@@ -106,12 +106,12 @@ def test_sample_family_shapes_and_seeds():
     graphs = gen_rewired_family(base, 3, 1, 1)
     pgs = tuple(to_precision(g, rng_seed=i) for i, g in enumerate(graphs))
     fam = MultiLayerFamily(pgs, choose_hidden(10, 2, 2))
-    samples, covs = sample_family(fam, 25, 77)
-    assert samples.counts == (25, 25, 25)
+    covs = sample_family(fam, 25, 77)
+    assert covs.counts == (25, 25, 25)
     assert covs.n_layers == 3 and covs.dim == 8
     # layer seeds are base_seed + k: layer 1 here equals layer 0 of base 78
-    x_again = sample_gmrf(pgs[1], 25, 78)
-    assert np.array_equal(samples.signals[1], x_again)
+    again = observed_sample_cov(sample_gmrf(pgs[1], 25, 78), fam.partition)
+    assert np.array_equal(covs.covs[1], again)
 
 
 def test_observed_covariances_validation():

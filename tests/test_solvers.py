@@ -12,12 +12,10 @@ from ggm.prox import _fused_columns, prox_fused_l1, soft_threshold, symmetric_fu
 from ggm.solvers import (
     _PD_FLOOR,
     GGLProblem,
-    GLProblem,
     JointProblem,
     PenaltyWeights,
     SolverConfig,
     ggl_objective,
-    gl_objective,
     joint_objective,
     reference_oracle,
     solve_ggl,
@@ -168,6 +166,39 @@ def test_penalty_weights_reject_zero_layers():
         PenaltyWeights(np.array([]), np.array([]), 0.0, 0.0)
 
 
+_MALFORMED_SETTINGS = {
+    "max_iters 2.5": (lambda: SolverConfig(max_iters=2.5), "max_iters must be an integer"),
+    "budget 2.5": (lambda: reference_oracle(
+        JointProblem((np.eye(2),), PenaltyWeights.tied(1, 0.1, 0.1)), budget=2.5),
+        "budget must be a positive integer"),
+    "tau nan": (lambda: prox.prox_logdet(np.eye(2), np.eye(2), np.nan), "tau must be positive"),
+    "kappa nan": (lambda: prox.prox_psd_trace(np.eye(2), np.nan), "kappa must be nonnegative"),
+    "kappa nan in a stack": (lambda: prox.prox_psd_trace(np.stack([np.eye(2)] * 2), [0.1, np.nan]),
+                             "kappa must be nonnegative"),
+}
+
+
+@pytest.mark.parametrize("make, message", _MALFORMED_SETTINGS.values(),
+                         ids=_MALFORMED_SETTINGS.keys())
+def test_malformed_settings_fail_fast(make, message):
+    with pytest.raises(InvalidInput, match=message):
+        make()
+
+
+@pytest.mark.parametrize("method", ["GL", "GGL", "LVGL", "Joint", "Oracle"])
+def test_solvers_reject_empty_covariance(method):
+    empty = np.zeros((0, 0))
+    solve = {
+        "GL": lambda: solve_gl(empty, 0.1),
+        "GGL": lambda: solve_ggl([empty, empty], 0.1, 0.1),
+        "LVGL": lambda: solve_lvgl(empty, 0.1, 0.1),
+        "Joint": lambda: solve_joint_hidden([empty], PenaltyWeights.tied(1, 0.1, 0.1)),
+        "Oracle": lambda: reference_oracle(GGLProblem((empty,), 0.1, 0.0)),
+    }[method]
+    with pytest.raises(InvalidInput, match="at least one row"):
+        solve()
+
+
 def test_joint_deterministic():
     rng = np.random.default_rng(4)
     covs = ObservedCovariances(tuple(random_tiny_instance(rng, o=4, k=2)), (100, 100))
@@ -304,6 +335,16 @@ def test_gl_diagonal_covariance():
     assert np.allclose(s, np.diag([2.0, 0.5, 0.25]), atol=1e-6)
 
 
+@pytest.mark.parametrize("admissible_set", ["symmetric", "nonpositive_offdiag"])
+@pytest.mark.parametrize("penalize_diagonal", [False, True])
+def test_gl_is_one_layer_ggl_without_group_weight(penalize_diagonal, admissible_set):
+    rng = np.random.default_rng(17)
+    c = random_tiny_instance(rng, o=5, k=1, m=40)[0]
+    cfg = SolverConfig(admissible_set=admissible_set)
+    assert np.array_equal(solve_gl(c, 0.1, cfg, penalize_diagonal),
+                          solve_ggl([c], 0.1, 0.0, cfg, penalize_diagonal)[0])
+
+
 def test_gl_full_shrinkage():
     rng = np.random.default_rng(7)
     c = random_pd_matrix(rng, 4)
@@ -388,7 +429,7 @@ def test_oracle_unpenalized_recovers_inverse():
     rng = np.random.default_rng(13)
     c = random_pd_matrix(rng, 3, min_eig=0.5)
     c = 0.5 * (c + c.T)
-    sol = reference_oracle(GLProblem(c, 0.0), budget=20_000)
+    sol = reference_oracle(GGLProblem((c,), 0.0, 0.0), budget=20_000)
     assert np.max(np.abs(sol.s_hat[0] - np.linalg.inv(c))) < 1e-3
 
 
@@ -416,7 +457,7 @@ def test_oracle_output_feasible():
 
 def test_oracle_rejects_large_instances():
     with pytest.raises(InvalidInput):
-        reference_oracle(GLProblem(np.eye(6), 0.1))
+        reference_oracle(GGLProblem((np.eye(6),), 0.1, 0.0))
 
 
 def test_admm_matches_oracle_on_tiny_instances():
@@ -467,29 +508,5 @@ def test_joint_median_error_beats_lvgl_on_related_graphs():
 
 def test_gl_objective_helpers():
     c = np.eye(3)
-    assert gl_objective(np.eye(3), c, 0.0) == pytest.approx(3.0)
-    assert gl_objective(np.diag([1.0, -1.0, 1.0]), np.eye(3), 0.1) == np.inf
-
-
-def test_l0_objective_counts_and_feasibility():
-    from ggm.solvers import joint_objective_l0
-
-    s = np.array([[2.0, -0.5, 0.0], [-0.5, 2.0, 0.0], [0.0, 0.0, 2.0]])
-    p = np.zeros((3, 3))
-    covs = [np.eye(3)]
-    w = PenaltyWeights.tied(1, 1.0, 0.0)
-    # smooth part tr(SC) - logdet(S - P) plus rho * (2 off-diagonal nonzeros)
-    smooth = np.trace(s) - np.linalg.slogdet(s)[1]
-    assert joint_objective_l0([s], [p], covs, w, max_hidden_rank=1) == \
-        pytest.approx(smooth + 2.0)
-    # rank of P above the hidden budget is infeasible
-    assert joint_objective_l0([s], [np.diag([0.5, 0.5, 0.0])], covs, w,
-                              max_hidden_rank=1) == np.inf
-    # the convex solution is feasible for the combinatorial program
-    rng = np.random.default_rng(18)
-    covs2 = random_tiny_instance(rng, o=4, k=2, m=100)
-    w2 = PenaltyWeights.tied(2, 0.1, 0.2, 0.05, 0.05)
-    est = solve_joint_hidden(ObservedCovariances(tuple(covs2), (100, 100)), w2)
-    val = joint_objective_l0(list(est.s_hat), list(est.p_hat), covs2, w2,
-                             max_hidden_rank=4)
-    assert np.isfinite(val)
+    assert ggl_objective([np.eye(3)], [c], 0.0, 0.0) == pytest.approx(3.0)
+    assert ggl_objective([np.diag([1.0, -1.0, 1.0])], [np.eye(3)], 0.1, 0.0) == np.inf
