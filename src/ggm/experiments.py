@@ -176,7 +176,7 @@ def _parse_value(name: str, raw):
             items = raw if isinstance(raw, (tuple, list)) else \
                 [v.strip() for v in text.split(",") if v.strip()]
             return tuple(_parse_item(typing.get_args(target)[0], v) for v in items)
-        return target(text)
+        return _parse_item(target, text if isinstance(raw, str) else raw)
     except (TypeError, ValueError, OverflowError) as exc:
         raise ConfigError(f"cannot read {name} = {raw!r}: {exc}") from exc
 

@@ -15,15 +15,16 @@ linear map x = (Z_S - Z_P, Z_S, Z_P, Z_P). Each block's prox is one
 stack kernel of `prox`: prox_logdet, symmetric_fused_prox (which also
 picks the fused path and its layer limit) on S and on P, and
 prox_psd_trace. The group graphical lasso (GGL) reuses the same kernels;
-it and the joint estimator share one scaled-form ADMM loop, `_admm`, and
-differ only in their prox steps and linear maps. The single-graph
-baselines are their one-layer cases: the graphical lasso (GL) is GGL at
-one layer with lambda2 = 0, and the latent-variable graphical lasso
-(LVGL) is the joint estimator at K = 1.
+it and the joint estimator share one over-relaxed, scaled-form ADMM loop,
+`_admm`, and differ only in their prox steps and linear maps. The
+single-graph baselines are their one-layer cases: the graphical lasso
+(GL) is GGL at one layer with lambda2 = 0, and the latent-variable
+graphical lasso (LVGL) is the joint estimator at K = 1.
 
 A slow projected-subgradient reference solver for tiny instances is
 provided as an independent check of the ADMM solutions.
 """
+import math
 import numbers
 from dataclasses import dataclass
 from enum import Enum
@@ -49,6 +50,11 @@ _PD_FLOOR = 1e-8
 # relative residual exceeds the other by more than _ADAPT_RATIO.
 _ADAPT_RATIO = 10.0
 _ADAPT_FACTOR = 2.0
+# Over-relaxation (Boyd et al., ADMM, FnT-ML 2011, sec. 3.4.3): the z-step
+# and the dual update see _RELAX x + (1 - _RELAX) lift(z) in place of x.
+# At 1.6 a held-out tc1 LVGL solve at rho = beta = 0.01 hits the sweeps'
+# 800-iteration cap; at 1.5 it converges.
+_RELAX = 1.5
 
 
 class AdmissibleSet(Enum):
@@ -267,22 +273,30 @@ def _rebalance(sigma, duals, rp, rd):
     return sigma
 
 
-def _norm(*arrays):
-    return float(np.sqrt(sum(np.sum(a * a) for a in arrays)))
+def _norm(arrays):
+    """Frobenius norm of the arrays taken together, with no a * a
+    temporaries (einsum, not BLAS dot, so the bits do not depend on the
+    BLAS thread count)."""
+    return math.sqrt(sum(float(np.einsum("i,i->", a.ravel(), a.ravel())) for a in arrays))
 
 
 def _admm(x_proxes, z_step, lift, z0, cfg, name):
-    """Scaled-form ADMM for min sum_i f_i(x_i) + g(z) s.t. x = lift(z).
+    """Over-relaxed, scaled-form ADMM for min sum_i f_i(x_i) + g(z) s.t.
+    x = lift(z).
 
     x_proxes holds one function per x-block: x_proxes[i](v_i, sigma) is
     the prox of f_i / sigma at the anchor v_i = lift(z)_i - u_i (each
     anchor is formed just before its prox, so only one is alive at a
     time). z_step(t, sigma) returns the z minimizing g(z)
-    + (sigma/2) ||lift(z) - t||^2 at t = x + u; lift is linear and maps
-    the tuple z to the tuple of x-blocks. Stops when the primal and
-    dual residuals, relative to the size of the iterates and of the
-    duals, both fall below the tolerances (Boyd et al., sec. 3.3);
-    otherwise rebalances the step.
+    + (sigma/2) ||lift(z) - t||^2 at t = x_hat + u, where x_hat =
+    _RELAX x + (1 - _RELAX) lift(z) is the relaxed point (Boyd et al.,
+    sec. 3.4.3); lift is linear and maps the tuple z to the tuple of
+    x-blocks. The proxes and z_step must return fresh arrays and may not
+    write into their inputs: the duals are updated in place, and lift
+    may return the same array twice. Stops when the primal residual
+    x - lift(z) and the dual residual sigma lift(z - z_prev), relative to
+    the size of the iterates and of the duals, both fall below the
+    tolerances (Boyd et al., sec. 3.3); otherwise rebalances the step.
 
     Returns (x, z, iterations, converged, residual_history), with the
     history an (iterations, 2) array of relative primal/dual residuals.
@@ -300,18 +314,21 @@ def _admm(x_proxes, z_step, lift, z0, cfg, name):
     converged = False
     for it in range(cfg.max_iters):
         x = [prox(v - u, sigma) for prox, v, u in zip(x_proxes, lz, duals)]
-        z_new = z_step([xi + u for xi, u in zip(x, duals)], sigma)
+        # the duals become t = x_hat + u, then u + x_hat - lift(z_new)
+        for u, xi, v in zip(duals, x, lz):
+            u += _RELAX * xi
+            u += (1.0 - _RELAX) * v
+        z_new = z_step(duals, sigma)
         dz = [new - old for new, old in zip(z_new, z)]
         z, lz = z_new, lift(z_new)
-        gap = [xi - v for xi, v in zip(x, lz)]
-        for u, g in zip(duals, gap):
-            u += g
-        prim = _norm(*gap)
-        dual = sigma * _norm(*lift(dz))
-        if not np.isfinite(prim) or not np.isfinite(dual):
+        for u, v in zip(duals, lz):
+            u -= v
+        prim = _norm([xi - v for xi, v in zip(x, lz)])
+        dual = sigma * _norm(lift(dz))
+        if not math.isfinite(prim) or not math.isfinite(dual):
             raise NumericalError(f"{name} diverged (non-finite residuals)")
-        rp = prim / max(_norm(*x), _norm(*lz), _EPS)
-        rd = dual / max(sigma * _norm(*duals), _EPS)
+        rp = prim / max(_norm(x), _norm(lz), _EPS)
+        rd = dual / max(sigma * _norm(duals), _EPS)
         history.append((rp, rd))
         if rp <= cfg.tol_primal and rd <= cfg.tol_dual:
             converged = True
@@ -575,7 +592,7 @@ def reference_oracle(problem, budget: int = 100_000, start=None) -> OracleSoluti
             rinv = np.linalg.inv(s - p)
             rinv = 0.5 * (rinv + np.swapaxes(rinv, 1, 2))
             gs, gp = subgrad(s, p, rinv)
-            gn = _norm(gs, gp)
+            gn = float(np.sqrt(np.sum(gs * gs) + np.sum(gp * gp)))
             if gn < 1e-14:
                 return OracleSolution(tuple(best_s), tuple(best_p), best_val)
             s = s - step * gs / gn

@@ -85,6 +85,14 @@ def test_config_rejections(tmp_path):
         name = next(iter(bad))
         with pytest.raises(ConfigError, match=f"cannot read {name} = "):
             build_config("tc1", {}, **bad)
+    # a scalar field is read like a tuple item: integral numbers only
+    for bad in ({"m": 200.5}, {"workers": 1.5}, {"n": float("inf")}):
+        name = next(iter(bad))
+        with pytest.raises(ConfigError, match=f"cannot read {name} = "):
+            build_config("tc1", {}, **bad)
+    cfg = build_config("tc1", {}, m=200.0, workers=2.0, k_sweep=[2.0])
+    assert (cfg.m, cfg.workers, cfg.k_sweep) == (200, 2, (2,))
+    assert all(type(v) is int for v in (cfg.m, cfg.workers, *cfg.k_sweep))
     # a config built directly converts its fields like build_config
     for bad in ({"k_sweep": (2.5,)}, {"k_sweep": ("x",)}, {"workers": 1.5}):
         name = next(iter(bad))
