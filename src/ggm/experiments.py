@@ -116,6 +116,8 @@ class ExperimentConfig:
                     raise ConfigError(f"{self.experiment} requires a nonempty {name}")
                 if any(v < 1 for v in values):
                     raise ConfigError(f"{name} values must be positive")
+                if len(set(values)) != len(values):
+                    raise ConfigError(f"{name} repeats a value: {values}")
             elif values:
                 raise ConfigError(f"{name} is not a sweep axis of {self.experiment}")
         if self.experiment == "tc3":

@@ -1,8 +1,9 @@
 """Dense symmetric linear algebra and proximal operators.
 
 Every solver in the package is assembled from the kernels below: the
-log-det barrier prox, elementwise soft-thresholding, the trace prox on
-the PSD cone, and the prox of the K-coupled fused-l1 penalty. All
+log-det barrier prox, elementwise soft-thresholding (which, like every
+l1 term on S in the package, leaves the diagonal unpenalized), the trace
+prox on the PSD cone, and the prox of the K-coupled fused-l1 penalty. All
 operators are pure functions: identical inputs give bit-identical
 outputs.
 """
@@ -43,8 +44,8 @@ def prox_logdet(a, c, tau: float):
     stacks ``(..., o, o)`` of them, of one shape; only the lower triangle
     of ``a - c/tau`` is read, and the output is not symmetrized.
     """
-    if not tau > 0:
-        raise InvalidInput(f"tau must be positive, got {tau}")
+    if not 0 < tau < np.inf:
+        raise InvalidInput(f"tau must be positive and finite, got {tau}")
     a = _check_stack(a, "a")
     c = _check_stack(c, "c")
     if a.shape != c.shape:
@@ -54,14 +55,14 @@ def prox_logdet(a, c, tau: float):
     return (q * phi[..., None, :]) @ np.swapaxes(q, -1, -2)
 
 
-def soft_threshold(a, lam: float, penalize_diagonal: bool = False):
+def soft_threshold(a, lam: float):
     """Elementwise l1 prox; the diagonal of a square matrix, or of each
-    matrix of a stack (..., o, o), is left untouched unless requested."""
+    matrix of a stack (..., o, o), is left untouched."""
     if not 0 <= lam < np.inf:
         raise InvalidInput(f"lambda must be finite and nonnegative, got {lam}")
     a = np.asarray(a, dtype=float)
     out = np.sign(a) * np.maximum(np.abs(a) - lam, 0.0)
-    if not penalize_diagonal and a.ndim >= 2 and a.shape[-2] == a.shape[-1]:
+    if a.ndim >= 2 and a.shape[-2] == a.shape[-1]:
         idx = np.arange(a.shape[-1])
         out[..., idx, idx] = a[..., idx, idx]
     return out

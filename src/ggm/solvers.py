@@ -8,18 +8,20 @@ marginalized hidden nodes, by minimizing
            + beta_k ||P||_*
     + sum_{k<k'}  rho_kk' ||S_O^k - S_O^k'||_1 + beta_kk' ||P^k - P^k'||_1
 
-subject to P >= 0 and S_O - P > 0. It is solved by consensus ADMM: one
-copy per objective term (log-det barrier, fused l1 on S, trace-plus-PSD
-on P, fused l1 on P), tied to consensus variables (Z_S, Z_P) through the
-linear map x = (Z_S - Z_P, Z_S, Z_P, Z_P). Each block's prox is one
-stack kernel of `prox`: prox_logdet, symmetric_fused_prox (which also
-picks the fused path and its layer limit) on S and on P, and
-prox_psd_trace. The group graphical lasso (GGL) reuses the same kernels;
-it and the joint estimator share one over-relaxed, scaled-form ADMM loop,
-`_admm`, and differ only in their prox steps and linear maps. The
-single-graph baselines are their one-layer cases: the graphical lasso
-(GL) is GGL at one layer with lambda2 = 0, and the latent-variable
-graphical lasso (LVGL) is the joint estimator at K = 1.
+subject to P >= 0 and S_O - P > 0. The l1 and fused terms on S_O always
+skip its diagonal; the fused term on P covers every entry. It is solved
+by consensus ADMM: one copy per objective term (log-det barrier, fused
+l1 on S, trace-plus-PSD on P, fused l1 on P), tied to consensus
+variables (Z_S, Z_P) through the linear map x = (Z_S - Z_P, Z_S, Z_P,
+Z_P). Each block's prox is one stack kernel of `prox`: prox_logdet,
+symmetric_fused_prox (which also picks the fused path and its layer
+limit) on S and on P, and prox_psd_trace. The group graphical lasso
+(GGL) reuses the same kernels; it and the joint estimator share one
+over-relaxed, scaled-form ADMM loop, `_admm`, and differ only in their
+prox steps and linear maps. The single-graph baselines are their
+one-layer cases: the graphical lasso (GL) is GGL at one layer with
+lambda2 = 0, and the latent-variable graphical lasso (LVGL) is the joint
+estimator at K = 1.
 
 A slow projected-subgradient reference solver for tiny instances is
 provided as an independent check of the ADMM solutions.
@@ -94,15 +96,13 @@ class PenaltyWeights:
     rho_pair/beta_pair are symmetric K x K matrices whose (k, k') entry
     weights the fused penalty between layers k and k' (a scalar serves
     every pair). All weights must be finite and nonnegative. The l1 and fused
-    terms on S skip the diagonal unless penalize_diagonal is set; the
-    fused term on P always covers all entries.
+    terms on S skip the diagonal; the fused term on P covers all entries.
     """
 
     rho: np.ndarray
     beta: np.ndarray
     rho_pair: np.ndarray
     beta_pair: np.ndarray
-    penalize_diagonal: bool = False
 
     def __post_init__(self):
         rho = np.atleast_1d(np.asarray(self.rho, dtype=float))
@@ -123,10 +123,10 @@ class PenaltyWeights:
 
     @classmethod
     def tied(cls, n_layers: int, rho: float, beta: float, rho_pair: float = 0.0,
-             beta_pair: float = 0.0, penalize_diagonal: bool = False):
+             beta_pair: float = 0.0):
         """All layers share one rho/beta and all pairs one fusion weight."""
         return cls(np.full(n_layers, float(rho)), np.full(n_layers, float(beta)),
-                   float(rho_pair), float(beta_pair), penalize_diagonal)
+                   float(rho_pair), float(beta_pair))
 
     @property
     def n_layers(self) -> int:
@@ -175,12 +175,10 @@ def _cov_stack(covs):
 # Objective values
 # ---------------------------------------------------------------------------
 
-def _l1_off(a, penalize_diagonal):
-    """l1 norm of each matrix in the stack a (..., o, o), skipping the
-    diagonal unless penalize_diagonal is set."""
+def _l1_off(a):
+    """l1 norm of the off-diagonal entries of each matrix in the stack
+    a (..., o, o)."""
     total = np.abs(a).sum(axis=(-2, -1))
-    if penalize_diagonal:
-        return total
     return total - np.abs(np.diagonal(a, axis1=-2, axis2=-1)).sum(axis=-1)
 
 
@@ -202,11 +200,11 @@ def joint_objective(s, p, covs, w: PenaltyWeights) -> float:
     if lam.min() <= 0:
         return np.inf
     fit = (r * np.asarray(cov_list)).sum(axis=(1, 2)) - np.log(lam).sum(axis=1)
-    l1 = _l1_off(s, w.penalize_diagonal)
+    l1 = _l1_off(s)
     nuclear = np.abs(np.linalg.eigvalsh(p)).sum(axis=1)
     iu = [i for i in range(k) for _ in range(i + 1, k)]
     ju = [j for i in range(k) for j in range(i + 1, k)]
-    l1_pair = _l1_off(s[iu] - s[ju], w.penalize_diagonal)
+    l1_pair = _l1_off(s[iu] - s[ju])
     l1_pair_p = np.abs(p[iu] - p[ju]).sum(axis=(1, 2))
     # summed layer by layer, then pair by pair, in a fixed order
     total = 0.0
@@ -220,11 +218,10 @@ def joint_objective(s, p, covs, w: PenaltyWeights) -> float:
     return total
 
 
-def ggl_objective(s_list, covs, lambda1: float, lambda2: float,
-                  penalize_diagonal: bool = False) -> float:
+def ggl_objective(s_list, covs, lambda1: float, lambda2: float) -> float:
     """Group graphical lasso: per-layer graphical-lasso terms
     tr(S C) - logdet S + lambda1 ||S||_1 plus a cross-layer group-l2
-    penalty on every (off-diagonal) entry; +inf when some S^k is not
+    penalty, both on the off-diagonal entries; +inf when some S^k is not
     positive definite. At one layer with lambda2 = 0 this is the
     graphical-lasso objective."""
     stack = np.asarray(s_list, dtype=float)
@@ -232,15 +229,13 @@ def ggl_objective(s_list, covs, lambda1: float, lambda2: float,
     if ev.min() <= 0:
         return np.inf
     terms = (stack * np.asarray(_as_cov_list(covs))).sum(axis=(-2, -1)) \
-        - np.log(ev).sum(axis=-1) + lambda1 * _l1_off(stack, penalize_diagonal)
+        - np.log(ev).sum(axis=-1) + lambda1 * _l1_off(stack)
     total = 0.0
     for term in terms:
         total += term
         if not np.isfinite(total):
             return np.inf
-    if not penalize_diagonal:
-        off = ~np.eye(stack.shape[1], dtype=bool)
-        stack = stack * off
+    stack = stack * ~np.eye(stack.shape[1], dtype=bool)
     total += lambda2 * float(np.sqrt(np.sum(stack ** 2, axis=0)).sum())
     return total
 
@@ -373,7 +368,7 @@ def solve_joint_hidden(covs, w: PenaltyWeights, cfg: SolverConfig = SolverConfig
     k, o, _ = cov_stack.shape
     if w.n_layers != k:
         raise InvalidInput(f"weights describe {w.n_layers} layers but {k} covariances given")
-    s_fused = symmetric_fused_prox(w.rho, w.rho_pair, o, w.penalize_diagonal)
+    s_fused = symmetric_fused_prox(w.rho, w.rho_pair, o, False)
     p_fused = symmetric_fused_prox(np.zeros(k), w.beta_pair, o, True)
 
     def s_prox(v, sigma):
@@ -402,16 +397,14 @@ def solve_joint_hidden(covs, w: PenaltyWeights, cfg: SolverConfig = SolverConfig
     )
 
 
-def solve_lvgl(cov, rho: float, beta: float, cfg: SolverConfig = SolverConfig(),
-               penalize_diagonal: bool = False):
+def solve_lvgl(cov, rho: float, beta: float, cfg: SolverConfig = SolverConfig()):
     """Latent-variable graphical lasso for a single graph.
 
     This is exactly the K = 1 instance of the joint problem (the fusion
     terms are vacuous), so it runs through the same engine. Returns
     (S_O, P).
     """
-    w = PenaltyWeights.tied(1, rho, beta, penalize_diagonal=penalize_diagonal)
-    est = solve_joint_hidden([cov], w, cfg)
+    est = solve_joint_hidden([cov], PenaltyWeights.tied(1, rho, beta), cfg)
     return est.s_hat[0], est.p_hat[0]
 
 
@@ -421,8 +414,7 @@ def solve_lvgl(cov, rho: float, beta: float, cfg: SolverConfig = SolverConfig(),
 # meaningful cross-checks). The graphical lasso is its one-layer case.
 # ---------------------------------------------------------------------------
 
-def solve_ggl(covs, lambda1: float, lambda2: float, cfg: SolverConfig = SolverConfig(),
-              penalize_diagonal: bool = False):
+def solve_ggl(covs, lambda1: float, lambda2: float, cfg: SolverConfig = SolverConfig()):
     """Group graphical lasso across layers.
 
     Elementwise l1 (lambda1) plus a cross-layer group-l2 penalty
@@ -437,11 +429,10 @@ def solve_ggl(covs, lambda1: float, lambda2: float, cfg: SolverConfig = SolverCo
 
     def z_step(t, sigma):
         v = t[0]
-        z = soft_threshold(v, lambda1 / sigma, penalize_diagonal)
+        z = soft_threshold(v, lambda1 / sigma)
         group = np.sqrt(np.sum(z * z, axis=0))
         z = z * np.maximum(0.0, 1.0 - (lambda2 / sigma) / np.maximum(group, 1e-300))
-        if not penalize_diagonal:
-            z[:, diag] = v[:, diag]
+        z[:, diag] = v[:, diag]
         return (_project_admissible(z, cfg.admissible_set),)
 
     z0 = (np.broadcast_to(np.eye(o), (k, o, o)).copy(),)
@@ -450,15 +441,14 @@ def solve_ggl(covs, lambda1: float, lambda2: float, cfg: SolverConfig = SolverCo
     return list(_floor_spectrum(z[0], None))
 
 
-def solve_gl(cov, lam: float, cfg: SolverConfig = SolverConfig(),
-             penalize_diagonal: bool = False):
+def solve_gl(cov, lam: float, cfg: SolverConfig = SolverConfig()):
     """Graphical lasso tr(SC) - logdet S + lam ||S||_1 for a single graph.
 
     This is exactly the one-layer instance of the group graphical lasso
     with lambda2 = 0 (the group term is vacuous), so it runs through the
     same engine. Returns S.
     """
-    return solve_ggl([cov], lam, 0.0, cfg, penalize_diagonal)[0]
+    return solve_ggl([cov], lam, 0.0, cfg)[0]
 
 
 # ---------------------------------------------------------------------------
@@ -481,7 +471,6 @@ class GGLProblem:
     covs: tuple
     lambda1: float
     lambda2: float
-    penalize_diagonal: bool = False
 
 
 @dataclass(frozen=True)
@@ -497,7 +486,7 @@ def _oracle_pieces(problem):
         cov_stack = _cov_stack(problem.covs)
         w = problem.weights
         k, o = cov_stack.shape[:2]
-        offmask = np.ones((o, o)) if w.penalize_diagonal else 1.0 - np.eye(o)
+        offmask = 1.0 - np.eye(o)
         observed = ObservedCovariances(tuple(cov_stack), (1,) * k)
         rho = w.rho[:, None, None]
         beta_eye = w.beta[:, None, None] * np.eye(o)
@@ -523,12 +512,11 @@ def _oracle_pieces(problem):
     if isinstance(problem, GGLProblem):
         cov_stack = _cov_stack(problem.covs)
         k, o = cov_stack.shape[:2]
-        offmask = np.ones((o, o)) if problem.penalize_diagonal else 1.0 - np.eye(o)
+        offmask = 1.0 - np.eye(o)
         observed = ObservedCovariances(tuple(cov_stack), (1,) * k)
 
         def objective(s, p):
-            return ggl_objective(s, observed, problem.lambda1, problem.lambda2,
-                                 problem.penalize_diagonal)
+            return ggl_objective(s, observed, problem.lambda1, problem.lambda2)
 
         def subgrad(s, p, rinv):
             gs = cov_stack - rinv + problem.lambda1 * np.sign(s) * offmask

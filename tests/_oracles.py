@@ -142,10 +142,10 @@ def schur_marginal_via_inverse(s_full, observed):
     return np.linalg.inv(cov_o)
 
 
-def naive_joint_objective(s_list, p_list, cov_list, rho, beta, rho_pair, beta_pair,
-                          penalize_diagonal=False):
+def naive_joint_objective(s_list, p_list, cov_list, rho, beta, rho_pair, beta_pair):
     """Term-by-term joint objective with plain loops, written from the
-    problem statement rather than shared with the package."""
+    problem statement rather than shared with the package. The l1 and
+    fused terms on S skip the diagonal."""
     k = len(cov_list)
     o = cov_list[0].shape[0]
     total = 0.0
@@ -157,14 +157,14 @@ def naive_joint_objective(s_list, p_list, cov_list, rho, beta, rho_pair, beta_pa
         total += np.trace(r @ cov_list[a]) - logdet
         for i in range(o):
             for j in range(o):
-                if i != j or penalize_diagonal:
+                if i != j:
                     total += rho[a] * abs(s_list[a][i, j])
         total += beta[a] * np.sum(np.abs(np.linalg.eigvalsh(p_list[a])))
     for a in range(k):
         for b in range(a + 1, k):
             for i in range(o):
                 for j in range(o):
-                    if i != j or penalize_diagonal:
+                    if i != j:
                         total += rho_pair[a, b] * abs(s_list[a][i, j] - s_list[b][i, j])
                     total += beta_pair[a, b] * abs(p_list[a][i, j] - p_list[b][i, j])
     return total

@@ -90,6 +90,12 @@ def test_config_rejections(tmp_path):
         name = next(iter(bad))
         with pytest.raises(ConfigError, match=f"cannot read {name} = "):
             build_config("tc1", {}, **bad)
+    # a repeated sweep value would share one selected-parameter entry
+    for experiment, bad in (("tc1", {"k_sweep": (2, 2)}), ("tc1", {"k_sweep": [2, 2.0]}),
+                            ("tc2", {"m_sweep": "100,50,100"}),
+                            ("tc3", {"o_sweep": (25, 25), "synthetic_substitute": True})):
+        with pytest.raises(ConfigError, match="repeats a value"):
+            build_config(experiment, {}, **bad)
     cfg = build_config("tc1", {}, m=200.0, workers=2.0, k_sweep=[2.0])
     assert (cfg.m, cfg.workers, cfg.k_sweep) == (200, 2, (2,))
     assert all(type(v) is int for v in (cfg.m, cfg.workers, *cfg.k_sweep))

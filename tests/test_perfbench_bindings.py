@@ -35,3 +35,9 @@ def test_every_workload_builds_and_warms_up(monkeypatch):
     for workload in workloads.WORKLOADS.values():
         # each warm-up runs 2-iteration solves through the public API
         workload.warm_up(workload.make_inputs(1))
+        if isinstance(workload, workloads.JointSolves):
+            # the timed rounds build this config; warm_up does not
+            cfg = workload._solver_config()
+            assert (cfg.max_iters, cfg.tol_primal, cfg.tol_dual) == \
+                (workload.max_iters, workload.tol, workload.tol)
+    assert any(isinstance(w, workloads.JointSolves) for w in workloads.WORKLOADS.values())

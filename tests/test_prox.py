@@ -76,8 +76,10 @@ def test_prox_logdet_stationarity_random():
 
 
 def test_prox_logdet_rejects_bad_tau():
-    with pytest.raises(InvalidInput):
-        prox_logdet(np.eye(2), np.eye(2), 0.0)
+    # tau = inf would return a singular matrix: diag(-1, 2) maps to diag(0, 2)
+    for tau in (0.0, np.inf):
+        with pytest.raises(InvalidInput):
+            prox_logdet(np.diag([-1.0, 2.0]), np.zeros((2, 2)), tau)
 
 
 # ---------------------------------------------------------------------------
@@ -100,16 +102,14 @@ def test_soft_threshold_zero_lambda_is_identity():
 def test_soft_threshold_diagonal_convention():
     a = np.diag([2.0, -3.0])
     assert np.array_equal(soft_threshold(a, 1.0), a)
-    assert np.allclose(soft_threshold(a, 1.0, penalize_diagonal=True), np.diag([1.0, -2.0]))
 
 
-@pytest.mark.parametrize("penalize_diagonal", [False, True])
-def test_soft_threshold_stack_equals_per_matrix_calls(penalize_diagonal):
+def test_soft_threshold_stack_equals_per_matrix_calls():
     rng = np.random.default_rng(3)
     stack = rng.normal(0.0, 1.0, (2, 3, 4, 4))
-    out = soft_threshold(stack, 0.5, penalize_diagonal)
+    out = soft_threshold(stack, 0.5)
     for idx in np.ndindex(stack.shape[:2]):
-        assert np.array_equal(out[idx], soft_threshold(stack[idx], 0.5, penalize_diagonal))
+        assert np.array_equal(out[idx], soft_threshold(stack[idx], 0.5))
 
 
 def test_soft_threshold_rejects_negative_lambda():

@@ -306,8 +306,8 @@ def test_joint_nonuniform_weights_at_eight_layers():
     assert est.iterations == 3 and np.isfinite(est.objective)
 
 
-@pytest.mark.parametrize("k, penalize_diagonal", [(3, False), (3, True), (1, False)])
-def test_symmetric_fused_prox_is_full_update_of_symmetric_part(k, penalize_diagonal):
+@pytest.mark.parametrize("k, diagonal", [(3, False), (3, True), (1, False)])
+def test_symmetric_fused_prox_is_full_update_of_symmetric_part(k, diagonal):
     rng = np.random.default_rng(10 + k)
     o = 6
     v = rng.normal(0.0, 0.5, (k, o, o))            # not symmetric
@@ -315,10 +315,10 @@ def test_symmetric_fused_prox_is_full_update_of_symmetric_part(k, penalize_diago
     rho = np.full(k, 0.1)
     pair = np.full((k, k), 0.07)
     sigma = 0.8
-    # S block: strict upper triangle, plus the diagonal when it is penalized
-    got = symmetric_fused_prox(rho, pair, o, penalize_diagonal)(v, sigma).reshape(k, -1)
+    # S block: strict upper triangle, plus the diagonal when diagonal is set
+    got = symmetric_fused_prox(rho, pair, o, diagonal)(v, sigma).reshape(k, -1)
     want = sym.copy()
-    cols = np.ones(o * o, dtype=bool) if penalize_diagonal else ~np.eye(o, dtype=bool).ravel()
+    cols = np.ones(o * o, dtype=bool) if diagonal else ~np.eye(o, dtype=bool).ravel()
     want[:, cols] = _fused_columns(rho, pair, 8)(sym[:, cols], sigma)
     assert np.max(np.abs(got - want)) <= 1e-12
     # P block: upper triangle with the diagonal, no l1 weight
@@ -371,13 +371,11 @@ def test_gl_diagonal_covariance():
 
 
 @pytest.mark.parametrize("admissible_set", ["symmetric", "nonpositive_offdiag"])
-@pytest.mark.parametrize("penalize_diagonal", [False, True])
-def test_gl_is_one_layer_ggl_without_group_weight(penalize_diagonal, admissible_set):
+def test_gl_is_one_layer_ggl_without_group_weight(admissible_set):
     rng = np.random.default_rng(17)
     c = random_tiny_instance(rng, o=5, k=1, m=40)[0]
     cfg = SolverConfig(admissible_set=admissible_set)
-    assert np.array_equal(solve_gl(c, 0.1, cfg, penalize_diagonal),
-                          solve_ggl([c], 0.1, 0.0, cfg, penalize_diagonal)[0])
+    assert np.array_equal(solve_gl(c, 0.1, cfg), solve_ggl([c], 0.1, 0.0, cfg)[0])
 
 
 def test_gl_full_shrinkage():
