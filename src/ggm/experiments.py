@@ -95,7 +95,6 @@ class ExperimentConfig:
     # tc3 data
     data_files: tuple[str, ...] = ()
     synthetic_substitute: bool = False
-    binarize: bool = False
 
     def __post_init__(self):
         for f in fields(self):
@@ -123,8 +122,12 @@ class ExperimentConfig:
         if self.experiment == "tc3":
             if any(o > self.n for o in self.o_sweep):
                 raise ConfigError("o_sweep values cannot exceed n")
-            if not self.data_files and not self.synthetic_substitute:
-                raise ConfigError("tc3 needs data_files or synthetic_substitute = true")
+            if bool(self.data_files) == self.synthetic_substitute:
+                raise ConfigError("tc3 needs exactly one of data_files and "
+                                  "synthetic_substitute = true")
+        elif self.data_files or self.synthetic_substitute:
+            raise ConfigError("data_files and synthetic_substitute are tc3 keys, "
+                              f"not {self.experiment} ones")
         for name in ("rho_grid", "beta_grid", "eta_grid"):
             values = getattr(self, name)
             if not values:
@@ -291,8 +294,6 @@ def substitute_layers(cfg: ExperimentConfig) -> list:
 def load_tc3_layers(cfg: ExperimentConfig) -> list:
     if cfg.data_files:
         graphs = load_multilayer(cfg.data_files)
-        if cfg.binarize:
-            graphs = [Graph(g.n_nodes, (g.adjacency != 0).astype(float)) for g in graphs]
         if graphs[0].n_nodes != cfg.n:
             raise ConfigError(
                 f"data files have {graphs[0].n_nodes} nodes but the config says n = {cfg.n}")
@@ -302,21 +303,16 @@ def load_tc3_layers(cfg: ExperimentConfig) -> list:
     return substitute_layers(cfg)
 
 
-def realize_cell(cfg: ExperimentConfig, sweep_index: int, realization: int,
-                 fixed_graphs=None):
+def realize_cell(cfg: ExperimentConfig, sweep_index: int, realization: int):
     """Generate one cell's data: observed covariances and true S_O blocks."""
     seeds = derive_cell_seeds(cfg.base_seed, sweep_index, realization)
     value = cfg.sweep[sweep_index]
     if cfg.experiment == "tc1":
-        n_layers, m, n_hidden = value, cfg.m, cfg.n_hidden
-        graphs = _layer_graphs(cfg, n_layers, seeds)
+        graphs, m, n_hidden = _layer_graphs(cfg, value, seeds), cfg.m, cfg.n_hidden
     elif cfg.experiment == "tc2":
-        n_layers, m, n_hidden = cfg.k, value, cfg.n_hidden
-        graphs = _layer_graphs(cfg, n_layers, seeds)
+        graphs, m, n_hidden = _layer_graphs(cfg, cfg.k, seeds), value, cfg.n_hidden
     else:
-        n_layers, m, n_hidden = cfg.k, cfg.m, cfg.n - value
-        graphs = fixed_graphs if fixed_graphs is not None else load_tc3_layers(cfg)
-        graphs = graphs[:n_layers]
+        graphs, m, n_hidden = load_tc3_layers(cfg), cfg.m, cfg.n - value
     precisions = [
         to_precision(g, (cfg.weight_lo, cfg.weight_hi), cfg.diag_margin, seeds["prec"] + i)
         for i, g in enumerate(graphs)
@@ -356,20 +352,18 @@ def _estimate(method: str, covs, hp: tuple, solver_cfg: SolverConfig) -> list:
     return list(solve_joint_hidden(covs, weights, solver_cfg).s_hat)
 
 
-def _score_cell(cfg: ExperimentConfig, sweep_index: int, realization: int,
-                fixed_graphs, jobs) -> list:
+def _score_cell(cfg: ExperimentConfig, sweep_index: int, realization: int, jobs) -> list:
     """Realize one cell once and return the error of each (method, hp) job."""
-    covs, truths = realize_cell(cfg, sweep_index, realization, fixed_graphs)
+    covs, truths = realize_cell(cfg, sweep_index, realization)
     solver_cfg = cfg.solver_config()
     return [mean_normalized_error(_estimate(method, covs, hp, solver_cfg), truths)
             for method, hp in jobs]
 
 
-def _score_cells(mapper, cfg: ExperimentConfig, fixed_graphs, cells) -> list:
+def _score_cells(mapper, cfg: ExperimentConfig, cells) -> list:
     """Map _score_cell over (sweep_index, realization, jobs) cells, in order."""
     sweep_indices, realizations, jobs = zip(*cells)
-    return list(mapper(_score_cell, repeat(cfg), sweep_indices, realizations,
-                       repeat(fixed_graphs), jobs))
+    return list(mapper(_score_cell, repeat(cfg), sweep_indices, realizations, jobs))
 
 
 def _one_blas_thread():
@@ -415,7 +409,6 @@ def run_experiment(cfg: ExperimentConfig) -> RunResult:
     phases map one task function over the same process pool (the builtin
     map when workers = 1), of at most one process per CPU."""
     start = time.time()
-    fixed_graphs = load_tc3_layers(cfg) if cfg.experiment == "tc3" else None
     sweep_indices = range(len(cfg.sweep))
     with ProcessPoolExecutor(min(cfg.workers, os.cpu_count() or 1),
                              initializer=_one_blas_thread) \
@@ -424,9 +417,8 @@ def run_experiment(cfg: ExperimentConfig) -> RunResult:
         # Joint's grid, then LVGL's, is most of the selection time: queue them first.
         selection = [(si, method) for method in reversed(METHODS) for si in sweep_indices]
         held_out = _score_cells(
-            mapper, cfg, fixed_graphs,
-            [(si, cfg.n_realizations, [(method, hp) for hp in _grid(cfg, method)])
-             for si, method in selection])
+            mapper, cfg, [(si, cfg.n_realizations, [(method, hp) for hp in _grid(cfg, method)])
+                          for si, method in selection])
         by_cell = dict(zip(selection, held_out))
         selected = {cfg.sweep[si]: select_params(
             cfg, {method: by_cell[si, method] for method in METHODS}) for si in sweep_indices}
@@ -435,7 +427,7 @@ def run_experiment(cfg: ExperimentConfig) -> RunResult:
         cells = [(si, r, [(method, selected[cfg.sweep[si]].hyperparameters(method))
                           for method in METHODS])
                  for si in sweep_indices for r in range(cfg.n_realizations)]
-        cell_errors = _score_cells(mapper, cfg, fixed_graphs, cells)
+        cell_errors = _score_cells(mapper, cfg, cells)
 
     raw = np.empty((len(cfg.sweep), len(METHODS), cfg.n_realizations))
     for (si, r, _), errors in zip(cells, cell_errors):

@@ -3,9 +3,10 @@ subset needed for multi-layer social network data.
 
 Only the *Vertices / *Edges / *Arcs sections of the Pajek grammar are
 supported; *Matrix and partition sections are rejected. Files may be
-UTF-8 with LF or CRLF endings; '%' starts a comment.
+UTF-8 with LF or CRLF endings; '%' starts a comment, and in an edge list
+so does '#'. Both parsers return a Graph.
 """
-from dataclasses import dataclass
+import math
 
 import numpy as np
 
@@ -14,35 +15,46 @@ from .graphs import Graph
 from .prox import symmetrize
 
 
-def _graph_from_edges(n, edges) -> Graph:
-    """Undirected graph on n nodes from 1-based weighted (i, j, w) edges."""
+def _data_lines(text, comments="%"):
+    """(line number, content) of each line left nonblank once the BOM and
+    everything from a comment character in ``comments`` on are cut."""
+    for lineno, raw in enumerate(text.lstrip("\ufeff").splitlines(), start=1):
+        for mark in comments:
+            raw = raw.split(mark, 1)[0]
+        line = raw.strip()
+        if line:
+            yield lineno, line
+
+
+def _edge(tokens, n, lineno):
+    """((i, j) with i < j, weight) from an edge line's 'i j [weight]' tokens:
+    endpoints in 1..n and distinct, a weight that is finite and >= 0 and
+    defaults to 1."""
+    try:
+        i, j = int(tokens[0]), int(tokens[1])
+    except ValueError:
+        raise ParseError(f"non-integer endpoint in {' '.join(tokens)!r}", line=lineno) from None
+    for v in (i, j):
+        if not 1 <= v <= n:
+            raise ParseError(f"endpoint {v} outside 1..{n}", line=lineno)
+    if i == j:
+        raise ParseError(f"self-loop on vertex {i}", line=lineno)
+    try:
+        w = float(tokens[2]) if len(tokens) > 2 else 1.0
+    except ValueError:
+        w = math.nan
+    if not 0 <= w < math.inf:
+        raise ParseError(f"weight {tokens[2]!r} is not a finite nonnegative number", line=lineno)
+    return (min(i, j), max(i, j)), w
+
+
+def _graph(n, weights) -> Graph:
+    """Undirected graph on n nodes from {(i, j): [weights]} over 1-based
+    pairs; a pair given more than once takes the mean of its weights."""
     a = np.zeros((n, n))
-    for i, j, w in edges:
-        a[i - 1, j - 1] = a[j - 1, i - 1] = w
+    for (i, j), ws in weights.items():
+        a[i - 1, j - 1] = a[j - 1, i - 1] = np.mean(ws)
     return Graph(n, a)
-
-
-@dataclass(frozen=True)
-class EdgeListFile:
-    """Plain-text graph: node count plus 1-based weighted edges."""
-
-    n_nodes: int
-    edges: tuple   # ((i, j, weight), ...) with 1 <= i < j <= n_nodes
-
-    def to_graph(self) -> Graph:
-        return _graph_from_edges(self.n_nodes, self.edges)
-
-
-@dataclass(frozen=True)
-class PajekNetwork:
-    """Parsed Pajek network: vertex labels plus undirected weighted edges."""
-
-    n_vertices: int
-    labels: tuple
-    edges: tuple   # ((i, j, weight), ...), 1-based, i < j, arcs symmetrized
-
-    def to_graph(self) -> Graph:
-        return _graph_from_edges(self.n_vertices, self.edges)
 
 
 def _split_tokens(line):
@@ -63,28 +75,24 @@ def _split_tokens(line):
     return tokens
 
 
-def parse_pajek(text: str) -> PajekNetwork:
-    """Parse the supported Pajek subset; failures report the line number."""
+def parse_pajek(text: str) -> Graph:
+    """Parse the supported Pajek subset; failures report the line number.
+    Vertex labels are checked but not kept; arcs are symmetrized."""
     n = None
-    labels = []
     section = None
-    edge_weights = {}     # (i, j) with i < j -> list of contributed weights
-    edge_seen_undirected = set()
-    for lineno, raw in enumerate(text.lstrip("﻿").splitlines(), start=1):
-        line = raw.split("%", 1)[0].strip()
-        if not line:
-            continue
+    weights = {}          # (i, j) with i < j -> list of contributed weights
+    undirected = set()    # pairs already given in an *Edges section
+    for lineno, line in _data_lines(text):
         if line.startswith("*"):
             head = line.split()
             key = head[0].lower()
             if key == "*vertices":
                 if n is not None:
                     raise ParseError("duplicate *Vertices section", line=lineno)
-                if len(head) != 2 or not head[1].isdigit() or int(head[1]) < 1:
+                if len(head) != 2 or not head[1].isdecimal() or int(head[1]) < 1:
                     raise ParseError("malformed *Vertices header; expected '*Vertices n'",
                                      line=lineno)
                 n = int(head[1])
-                labels = [None] * n
                 section = "vertices"
             elif key in ("*edges", "*arcs"):
                 if n is None:
@@ -100,83 +108,45 @@ def parse_pajek(text: str) -> PajekNetwork:
         if tokens is None:
             raise ParseError("unterminated quoted label", line=lineno)
         if section == "vertices":
-            if not tokens[0].isdigit():
+            if not tokens[0].isdecimal():
                 raise ParseError(f"vertex id {tokens[0]!r} is not an integer", line=lineno)
-            vid = int(tokens[0])
-            if not 1 <= vid <= n:
-                raise ParseError(f"vertex id {vid} outside 1..{n}", line=lineno)
-            if len(tokens) > 1:
-                labels[vid - 1] = tokens[1]
+            if not 1 <= int(tokens[0]) <= n:
+                raise ParseError(f"vertex id {tokens[0]} outside 1..{n}", line=lineno)
             continue
         if len(tokens) < 2:
             raise ParseError("edge line needs at least two endpoints", line=lineno)
-        try:
-            i, j = int(tokens[0]), int(tokens[1])
-        except ValueError:
-            raise ParseError(f"non-integer endpoint in {line!r}", line=lineno) from None
-        for v in (i, j):
-            if not 1 <= v <= n:
-                raise ParseError(f"endpoint {v} outside 1..{n}", line=lineno)
-        if i == j:
-            raise ParseError(f"self-loop on vertex {i}", line=lineno)
-        if len(tokens) >= 3:
-            try:
-                w = float(tokens[2])
-            except ValueError:
-                raise ParseError(f"non-numeric weight {tokens[2]!r}", line=lineno) from None
-            if not np.isfinite(w):
-                raise ParseError(f"non-finite weight {tokens[2]!r}", line=lineno)
-        else:
-            w = 1.0
-        key = (min(i, j), max(i, j))
+        pair, w = _edge(tokens, n, lineno)
         if section == "edges":
-            if key in edge_seen_undirected:
-                raise ParseError(f"duplicate undirected edge {key}", line=lineno)
-            edge_seen_undirected.add(key)
-            edge_weights.setdefault(key, []).append(w)
-        else:
-            # arcs are symmetrized; both directions merge into one edge
-            edge_weights.setdefault(key, []).append(w)
+            if pair in undirected:
+                raise ParseError(f"duplicate undirected edge {pair}", line=lineno)
+            undirected.add(pair)
+        # arcs may give a pair more than once: both directions merge into one edge
+        weights.setdefault(pair, []).append(w)
     if n is None:
         raise ParseError("missing *Vertices section", line=1)
-    edges = tuple(sorted((i, j, float(np.mean(ws))) for (i, j), ws in edge_weights.items()))
-    return PajekNetwork(n, tuple(labels), edges)
+    return _graph(n, weights)
 
 
-def parse_edge_list(text: str) -> EdgeListFile:
+def parse_edge_list(text: str) -> Graph:
     """Parse the plain edge-list format: node count, then 'i j [weight]' lines."""
     n = None
-    edges = []
-    seen = set()
-    for lineno, raw in enumerate(text.lstrip("﻿").splitlines(), start=1):
-        line = raw.split("#", 1)[0].split("%", 1)[0].strip()
-        if not line:
-            continue
+    weights = {}
+    for lineno, line in _data_lines(text, "#%"):
         tokens = line.split()
         if n is None:
-            if len(tokens) != 1 or not tokens[0].isdigit():
+            if len(tokens) != 1 or not tokens[0].isdecimal():
                 raise ParseError("first data line must be the node count", line=lineno)
             n = int(tokens[0])
             continue
         if len(tokens) not in (2, 3):
             raise ParseError(f"expected 'i j [weight]', got {line!r}", line=lineno)
-        try:
-            i, j = int(tokens[0]), int(tokens[1])
-            w = float(tokens[2]) if len(tokens) == 3 else 1.0
-        except ValueError:
-            raise ParseError(f"malformed edge line {line!r}", line=lineno) from None
-        if not (1 <= i <= n and 1 <= j <= n):
-            raise ParseError(f"edge ({i}, {j}) outside 1..{n}", line=lineno)
-        if i == j:
-            raise ParseError(f"self-loop on node {i}", line=lineno)
-        key = (min(i, j), max(i, j))
-        if key in seen:
-            raise ParseError(f"duplicate undirected edge {key}", line=lineno)
-        seen.add(key)
-        edges.append((key[0], key[1], w))
+        pair, w = _edge(tokens, n, lineno)
+        if pair in weights:
+            raise ParseError(f"duplicate undirected edge {pair}", line=lineno)
+        weights[pair] = [w]
     if n is None:
         raise ParseError("empty edge-list file", line=1)
-    return EdgeListFile(n, tuple(sorted(edges)))
+    return _graph(n, weights)
 
 
 def load_graph_file(path) -> Graph:
@@ -187,15 +157,10 @@ def load_graph_file(path) -> Graph:
     """
     with open(path, "r", encoding="utf-8") as fh:
         text = fh.read()
-    for raw in text.lstrip("﻿").splitlines():
-        line = raw.split("%", 1)[0].strip()
-        if line:
-            is_pajek = line.startswith("*")
-            break
-    else:
+    first = next(_data_lines(text), None)
+    if first is None:
         raise ParseError(f"{path}: file is empty", line=1)
-    parsed = parse_pajek(text) if is_pajek else parse_edge_list(text)
-    return parsed.to_graph()
+    return parse_pajek(text) if first[1].startswith("*") else parse_edge_list(text)
 
 
 def load_multilayer(paths):

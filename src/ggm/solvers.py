@@ -171,6 +171,18 @@ def _cov_stack(covs):
     return stack
 
 
+def _estimate_stack(a, shape, name):
+    """The estimates a as one float array; InvalidInput unless it has the
+    covariance stack's shape (K, o, o)."""
+    try:
+        a = np.asarray(a, dtype=float)
+    except ValueError:   # layers of different sizes
+        raise InvalidInput(f"{name} layers differ in shape; expected {shape}") from None
+    if a.shape != shape:
+        raise InvalidInput(f"{name} has shape {a.shape}; expected {shape}")
+    return a
+
+
 # ---------------------------------------------------------------------------
 # Objective values
 # ---------------------------------------------------------------------------
@@ -189,17 +201,17 @@ def joint_objective(s, p, covs, w: PenaltyWeights) -> float:
     The nuclear norm of the symmetric P^k is evaluated as the sum of
     absolute eigenvalues, which reduces to the trace on the PSD cone.
     """
-    cov_list = _as_cov_list(covs)
-    k = len(cov_list)
-    if len(s) != k or len(p) != k or w.n_layers != k:
-        raise InvalidInput("s, p, covs and weights must agree on the number of layers")
-    s = np.asarray(s, dtype=float)
-    p = np.asarray(p, dtype=float)
+    cov_stack = np.asarray(_as_cov_list(covs))
+    k = len(cov_stack)
+    if w.n_layers != k:
+        raise InvalidInput(f"weights describe {w.n_layers} layers but {k} covariances given")
+    s = _estimate_stack(s, cov_stack.shape, "s")
+    p = _estimate_stack(p, cov_stack.shape, "p")
     r = s - p
     lam = np.linalg.eigvalsh(r)
     if lam.min() <= 0:
         return np.inf
-    fit = (r * np.asarray(cov_list)).sum(axis=(1, 2)) - np.log(lam).sum(axis=1)
+    fit = (r * cov_stack).sum(axis=(1, 2)) - np.log(lam).sum(axis=1)
     l1 = _l1_off(s)
     nuclear = np.abs(np.linalg.eigvalsh(p)).sum(axis=1)
     iu = [i for i in range(k) for _ in range(i + 1, k)]
@@ -224,11 +236,12 @@ def ggl_objective(s_list, covs, lambda1: float, lambda2: float) -> float:
     penalty, both on the off-diagonal entries; +inf when some S^k is not
     positive definite. At one layer with lambda2 = 0 this is the
     graphical-lasso objective."""
-    stack = np.asarray(s_list, dtype=float)
+    cov_stack = np.asarray(_as_cov_list(covs))
+    stack = _estimate_stack(s_list, cov_stack.shape, "s")
     ev = np.linalg.eigvalsh(stack)
     if ev.min() <= 0:
         return np.inf
-    terms = (stack * np.asarray(_as_cov_list(covs))).sum(axis=(-2, -1)) \
+    terms = (stack * cov_stack).sum(axis=(-2, -1)) \
         - np.log(ev).sum(axis=-1) + lambda1 * _l1_off(stack)
     total = 0.0
     for term in terms:
@@ -553,8 +566,8 @@ def reference_oracle(problem, budget: int = 100_000, start=None) -> OracleSoluti
         p = 0.01 * np.broadcast_to(np.eye(o), (k, o, o)).copy() if has_latent \
             else np.zeros((k, o, o))
     else:
-        s = np.stack([symmetrize(m) for m in start[0]])
-        p = np.stack([symmetrize(m) for m in start[1]])
+        s = np.stack([symmetrize(m) for m in _estimate_stack(start[0], cov_stack.shape, "start s")])
+        p = np.stack([symmetrize(m) for m in _estimate_stack(start[1], cov_stack.shape, "start p")])
 
     def project(s, p):
         if has_latent:

@@ -1,6 +1,9 @@
 import ctypes
 import os
+import re
 from concurrent.futures import ProcessPoolExecutor
+from dataclasses import fields
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -70,6 +73,13 @@ def test_config_rejections(tmp_path):
         build_config("tc2", {}, m_sweep=())              # required axis empty
     with pytest.raises(ConfigError):
         build_config("tc3", {})                          # no data, no substitute
+    with pytest.raises(ConfigError, match="exactly one"):
+        build_config("tc3", {}, data_files="x.net", synthetic_substitute="true")
+    for experiment in ("tc1", "tc2"):                    # tc3-only keys
+        for bad in ({"data_files": "x.net"}, {"synthetic_substitute": "true"},
+                    {"data_files": "x.net", "synthetic_substitute": "true"}):
+            with pytest.raises(ConfigError, match="tc3 keys"):
+                build_config(experiment, {}, **bad)
     with pytest.raises(ConfigError):
         build_config("tc3", {}, synthetic_substitute=True, o_sweep=(40,))
     with pytest.raises(ConfigError):
@@ -111,6 +121,13 @@ def test_config_rejections(tmp_path):
     path.write_text("n = twenty\n", encoding="utf-8")
     with pytest.raises(ConfigError, match="n = 'twenty'"):
         build_config("tc1", parse_config_file(path))
+
+
+def test_readme_lists_every_config_key():
+    readme = (Path(__file__).parents[1] / "README.md").read_text(encoding="utf-8")
+    paragraph = re.search(r"The keys are(.*?)Any\s+other\s+key", readme, re.S).group(1)
+    listed = re.findall(r"`(\w+)`", re.sub(r"\([^)]*\)", "", paragraph))  # asides dropped
+    assert sorted(listed) == sorted(f.name for f in fields(ExperimentConfig))
 
 
 def test_seed_derivation_is_method_independent():
@@ -265,10 +282,28 @@ def test_tc3_real_files(tmp_path):
     a.write_text('*Vertices 6\n*Edges\n1 2 1\n2 3 1\n4 5 2\n', encoding="utf-8")
     b.write_text('*Vertices 6\n*Edges\n1 2 1\n3 4 1\n5 6 1\n', encoding="utf-8")
     cfg = build_config("tc3", {}, n=6, k=2, o_sweep=(5, 6), m=40,
-                       data_files=(str(a), str(b)), binarize=True,
+                       data_files=(str(a), str(b)),
                        n_realizations=1, base_seed=0, **TINY_GRIDS)
     result = run_experiment(cfg)
     assert result.table.errors.shape == (2, 4)
+
+
+def test_tc3_reads_only_the_support_of_a_layer_file(tmp_path):
+    weighted = {"a.net": '*Vertices 6\n*Edges\n1 2 0.3\n2 3 7\n4 5 2\n*Arcs\n5 6 1\n6 5 4\n',
+                "b.txt": '6\n1 2 9\n3 4 0.1\n5 6 2.5\n'}
+    binary = {"a.net": '*Vertices 6\n*Edges\n1 2\n2 3\n4 5\n5 6\n',
+              "b.txt": '6\n1 2\n3 4\n5 6\n'}
+    runs = []
+    for name, texts in (("weighted", weighted), ("binary", binary)):
+        (tmp_path / name).mkdir()
+        paths = [tmp_path / name / f for f in texts]
+        for path, text in zip(paths, texts.values()):
+            path.write_text(text, encoding="utf-8")
+        runs.append(run_experiment(build_config(
+            "tc3", {}, n=6, k=2, o_sweep=(5, 6), m=40, data_files=tuple(map(str, paths)),
+            n_realizations=2, base_seed=4, **TINY_GRIDS)))
+    assert np.array_equal(runs[0].raw_errors, runs[1].raw_errors)
+    assert runs[0].selected == runs[1].selected
 
 
 def test_emit_csv_rejects_empty(tmp_path):
@@ -321,6 +356,18 @@ def test_cli_run_rejects_unknown_key(tmp_path, capsys):
         code = main(["run", "tc1", "--out", str(tmp_path / "x.csv"), key, "1"])
         assert code == 2
         assert "unknown config key" in capsys.readouterr().err
+
+
+def test_cli_run_tc3_rejects_a_node_count_mismatch_in_the_pool(tmp_path, capsys):
+    files = []
+    for name in ("a.net", "b.net"):
+        path = tmp_path / name
+        path.write_text('*Vertices 6\n*Edges\n1 2\n3 4\n', encoding="utf-8")
+        files.append(str(path))
+    code = main(["run", "tc3", "--out", str(tmp_path / "z.csv"), "--data-files", ",".join(files),
+                 "--n", "7", "--k", "2", "--o-sweep", "5,6", "--workers", "2"])
+    assert code == 2
+    assert "data files have 6 nodes" in capsys.readouterr().err
 
 
 def test_cli_run_rejects_malformed_value(tmp_path, capsys):

@@ -5,6 +5,7 @@ from hypothesis import strategies as st
 
 from ggm.errors import InvalidInput, ParseError
 from ggm.io import (
+    load_graph_file,
     load_multilayer,
     parse_edge_list,
     parse_pajek,
@@ -14,14 +15,15 @@ from ggm.io import (
 
 
 def test_pajek_minimal_file():
-    net = parse_pajek('*Vertices 2\n*Edges\n1 2 1.0\n')
-    assert net.n_vertices == 2
-    assert net.edges == ((1, 2, 1.0),)
+    g = parse_pajek('*Vertices 2\n*Edges\n1 2 1.0\n')
+    assert g.n_nodes == 2
+    assert np.array_equal(g.adjacency, [[0, 1], [1, 0]])
 
 
 def test_pajek_arcs_symmetrized():
-    net = parse_pajek('*Vertices 3\n*Arcs\n1 2 1\n2 1 1\n')
-    assert net.edges == ((1, 2, 1.0),)
+    g = parse_pajek('*Vertices 3\n*Arcs\n1 2 1\n2 1 3\n')
+    assert g.edge_set() == {(0, 1)}
+    assert g.adjacency[0, 1] == g.adjacency[1, 0] == 2.0   # the mean of both arcs
 
 
 def test_pajek_out_of_range_index():
@@ -33,14 +35,16 @@ def test_pajek_out_of_range_index():
 def test_pajek_labels_and_comments():
     text = ('% a comment\n*vertices 3\n1 "alice"\n2 "bob baker"\n3 "carol"\n'
             '*edges\n1 2\n2 3 0.5\n')
-    net = parse_pajek(text)
-    assert net.labels == ("alice", "bob baker", "carol")
-    assert net.edges == ((1, 2, 1.0), (2, 3, 0.5))
+    g = parse_pajek(text)
+    assert g.adjacency[0, 1] == 1.0 and g.adjacency[1, 2] == 0.5 and g.n_edges == 2
+    with pytest.raises(ParseError) as err:
+        parse_pajek('*Vertices 2\n1 "alice\n')
+    assert err.value.line == 2
 
 
 def test_pajek_crlf_and_case():
-    net = parse_pajek('*VERTICES 2\r\n*EDGES\r\n1 2\r\n')
-    assert net.edges == ((1, 2, 1.0),)
+    g = parse_pajek('*VERTICES 2\r\n*EDGES\r\n1 2\r\n')
+    assert g.edge_set() == {(0, 1)} and g.adjacency[0, 1] == 1.0
 
 
 def test_pajek_rejects_unsupported_sections():
@@ -58,6 +62,10 @@ def test_pajek_rejects_malformed():
         ('*Vertices 2\n*Edges\n1 1 1\n', 3),
         ('*Vertices 2\n*Edges\n1 2 x\n', 3),
         ('*Vertices 2\n*Edges\n1 2 1\n1 2 2\n', 4),
+        ('*Vertices 2\n*Edges\n1 2 -1\n', 3),
+        ('*Vertices 2\n*Edges\n1 2 inf\n', 3),
+        ('*Vertices \u00b2\n', 1),              # a digit that int() does not read
+        ('*Vertices 2\n\u00b2 "a"\n', 2),
     ]:
         with pytest.raises(ParseError) as err:
             parse_pajek(text)
@@ -65,7 +73,7 @@ def test_pajek_rejects_malformed():
 
 
 def test_pajek_to_graph():
-    g = parse_pajek('*Vertices 3\n*Edges\n1 2 2.0\n2 3 0.5\n').to_graph()
+    g = parse_pajek('*Vertices 3\n*Edges\n1 2 2.0\n2 3 0.5\n')
     assert g.n_nodes == 3
     assert g.adjacency[0, 1] == 2.0 and g.adjacency[1, 2] == 0.5
     assert g.adjacency[0, 2] == 0.0
@@ -95,8 +103,8 @@ def test_pajek_fuzz_benign_perturbations(n, seed, ws, crlf, comment):
     text = ("\r\n" if crlf else "\n").join(lines)
     net = parse_pajek(text)
     ref = parse_pajek("\n".join(baseline))
-    assert net.edges == ref.edges
-    assert net.n_vertices == ref.n_vertices
+    assert net.n_nodes == ref.n_nodes
+    assert np.array_equal(net.adjacency, ref.adjacency)
 
 
 @settings(deadline=None, max_examples=80)
@@ -110,11 +118,10 @@ def test_pajek_total_over_garbage(text):
 
 
 def test_edge_list_round_trip_semantics():
-    parsed = parse_edge_list('# layer file\n4\n1 2 0.5\n3 4\n')
-    assert parsed.n_nodes == 4
-    assert parsed.edges == ((1, 2, 0.5), (3, 4, 1.0))
-    g = parsed.to_graph()
-    assert g.n_edges == 2
+    g = parse_edge_list('# layer file\n4\n1 2 0.5\n3 4\n')
+    assert g.n_nodes == 4
+    assert g.edge_set() == {(0, 1), (2, 3)}
+    assert g.adjacency[0, 1] == 0.5 and g.adjacency[2, 3] == 1.0
 
 
 def test_edge_list_rejects_duplicates_and_loops():
@@ -122,6 +129,22 @@ def test_edge_list_rejects_duplicates_and_loops():
         parse_edge_list('3\n1 2\n2 1\n')
     with pytest.raises(ParseError):
         parse_edge_list('3\n2 2\n')
+    for weight in ("inf", "nan", "-1", "x"):
+        with pytest.raises(ParseError) as err:
+            parse_edge_list(f'3 # nodes\n1 2\n\n2 3 {weight}\n')
+        assert err.value.line == 4
+
+
+def test_load_graph_file_sniffs_the_format(tmp_path):
+    pajek = tmp_path / "layer.net"
+    edges = tmp_path / "layer.txt"
+    pajek.write_text('\ufeff% weighted\n*Vertices 3\n*Edges\n1 3 2.5\n', encoding="utf-8")
+    edges.write_text('% weighted\n3\n1 3 2.5 # last\n', encoding="utf-8")
+    assert np.array_equal(load_graph_file(pajek).adjacency, load_graph_file(edges).adjacency)
+    empty = tmp_path / "empty.net"
+    empty.write_text('% nothing\n\n', encoding="utf-8")
+    with pytest.raises(ParseError):
+        load_graph_file(empty)
 
 
 def test_load_multilayer(tmp_path):

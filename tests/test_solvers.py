@@ -57,6 +57,25 @@ def test_objective_infeasible_is_infinite():
     assert val == np.inf
 
 
+def test_objectives_and_oracle_reject_estimates_of_the_wrong_shape():
+    rng = np.random.default_rng(16)
+    c1, c2 = random_tiny_instance(rng, o=3, k=2)
+    eye, zero = np.eye(3), np.zeros((3, 3))
+    w = PenaltyWeights.tied(2, 0.1, 0.1)
+    problem = GGLProblem((c1, c2), 0.1, 0.1)
+    for wrong in ([eye], [eye, eye, eye], [np.eye(2)] * 2, [eye, np.eye(2)]):
+        with pytest.raises(InvalidInput):
+            ggl_objective(wrong, [c1, c2], 0.1, 0.1)        # not broadcast over layers
+        with pytest.raises(InvalidInput):
+            joint_objective(wrong, [zero, zero], [c1, c2], w)
+        with pytest.raises(InvalidInput):
+            joint_objective([eye, eye], wrong, [c1, c2], w)
+        with pytest.raises(InvalidInput):
+            reference_oracle(problem, budget=10, start=(wrong, [zero, zero]))
+        with pytest.raises(InvalidInput):
+            reference_oracle(JointProblem((c1, c2), w), budget=10, start=([eye, eye], wrong))
+
+
 def test_objective_matches_independent_evaluator():
     rng = np.random.default_rng(1)
     for _ in range(10):
