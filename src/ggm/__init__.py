@@ -31,7 +31,6 @@ from .prox import (
 )
 from .sampling import ObservedCovariances, observed_sample_cov, sample_family, sample_gmrf
 from .solvers import (
-    AdmissibleSet,
     GGLProblem,
     JointEstimate,
     JointProblem,

@@ -24,7 +24,7 @@ from .experiments import (
     run_experiment,
     write_manifest,
 )
-from .io import read_sym_matrix_csv, write_matrix_csv
+from .io import read_matrix_csv, write_matrix_csv
 from .sampling import ObservedCovariances
 from .solvers import (
     JointProblem,
@@ -58,8 +58,7 @@ def _add_weight_args(parser):
 
 def _load_problem(args):
     """The --covs files and tied PenaltyWeights from the weight flags."""
-    covs = ObservedCovariances(tuple(read_sym_matrix_csv(p) for p in args.covs),
-                               (1,) * len(args.covs))
+    covs = ObservedCovariances([read_matrix_csv(p) for p in args.covs])
     return covs, PenaltyWeights.tied(covs.n_layers, args.rho, args.beta,
                                      args.rho_pair, args.beta_pair)
 
@@ -101,7 +100,7 @@ def cmd_solve(args):
 
 def cmd_oracle(args):
     covs, weights = _load_problem(args)
-    sol = reference_oracle(JointProblem(covs.covs, weights), budget=args.budget)
+    sol = reference_oracle(JointProblem(covs, weights), budget=args.budget)
     if args.out:
         _write_estimates(sol, args.out)
     print(f"oracle objective = {sol.objective:.10g}")

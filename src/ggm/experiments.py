@@ -91,7 +91,6 @@ class ExperimentConfig:
     max_iters: int = 800
     tol_primal: float = 1e-4
     tol_dual: float = 1e-4
-    admissible_set: str = "symmetric"
     # tc3 data
     data_files: tuple[str, ...] = ()
     synthetic_substitute: bool = False
@@ -136,8 +135,7 @@ class ExperimentConfig:
                 raise ConfigError(f"{name} values must be finite and nonnegative")
         try:
             object.__setattr__(self, "_solver_config", SolverConfig(
-                max_iters=self.max_iters, tol_primal=self.tol_primal, tol_dual=self.tol_dual,
-                admissible_set=self.admissible_set))
+                max_iters=self.max_iters, tol_primal=self.tol_primal, tol_dual=self.tol_dual))
         except ValueError as exc:
             raise ConfigError(f"solver settings: {exc}") from exc
 

@@ -12,7 +12,6 @@ import numpy as np
 
 from .errors import InvalidInput, ParseError
 from .graphs import Graph
-from .prox import symmetrize
 
 
 def _data_lines(text, comments="%"):
@@ -24,6 +23,15 @@ def _data_lines(text, comments="%"):
         line = raw.strip()
         if line:
             yield lineno, line
+
+
+def _decimal(token):
+    """The int that a string of decimal digits spells, or None when token
+    is not one or is too long for int() (4,300 digits by default)."""
+    try:
+        return int(token) if token.isdecimal() else None
+    except ValueError:
+        return None
 
 
 def _edge(tokens, n, lineno):
@@ -89,10 +97,10 @@ def parse_pajek(text: str) -> Graph:
             if key == "*vertices":
                 if n is not None:
                     raise ParseError("duplicate *Vertices section", line=lineno)
-                if len(head) != 2 or not head[1].isdecimal() or int(head[1]) < 1:
+                n = _decimal(head[1]) if len(head) == 2 else None
+                if not n:
                     raise ParseError("malformed *Vertices header; expected '*Vertices n'",
                                      line=lineno)
-                n = int(head[1])
                 section = "vertices"
             elif key in ("*edges", "*arcs"):
                 if n is None:
@@ -108,10 +116,10 @@ def parse_pajek(text: str) -> Graph:
         if tokens is None:
             raise ParseError("unterminated quoted label", line=lineno)
         if section == "vertices":
-            if not tokens[0].isdecimal():
-                raise ParseError(f"vertex id {tokens[0]!r} is not an integer", line=lineno)
-            if not 1 <= int(tokens[0]) <= n:
-                raise ParseError(f"vertex id {tokens[0]} outside 1..{n}", line=lineno)
+            v = _decimal(tokens[0])
+            if v is None or not 1 <= v <= n:
+                raise ParseError(f"vertex id {tokens[0]!r} is not an integer in 1..{n}",
+                                 line=lineno)
             continue
         if len(tokens) < 2:
             raise ParseError("edge line needs at least two endpoints", line=lineno)
@@ -134,9 +142,9 @@ def parse_edge_list(text: str) -> Graph:
     for lineno, line in _data_lines(text, "#%"):
         tokens = line.split()
         if n is None:
-            if len(tokens) != 1 or not tokens[0].isdecimal():
+            n = _decimal(tokens[0]) if len(tokens) == 1 else None
+            if n is None:
                 raise ParseError("first data line must be the node count", line=lineno)
-            n = int(tokens[0])
             continue
         if len(tokens) not in (2, 3):
             raise ParseError(f"expected 'i j [weight]', got {line!r}", line=lineno)
@@ -202,8 +210,3 @@ def read_matrix_csv(path) -> np.ndarray:
     if len(widths) != 1 or widths.pop() != len(rows):
         raise ParseError(f"{path}: matrix is not square", line=1)
     return np.asarray(rows)
-
-
-def read_sym_matrix_csv(path) -> np.ndarray:
-    """Read a matrix and enforce symmetry by averaging."""
-    return symmetrize(read_matrix_csv(path))

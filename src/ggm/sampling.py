@@ -1,9 +1,11 @@
 """GMRF signal sampling and observed sample covariances.
 
 Signals are drawn i.i.d. from N(0, S^{-1}) per layer; the observed
-sample covariance (1/M) X_O X_O^T feeds every solver. The RNG is
-numpy's PCG64 with the Generator.standard_normal ziggurat method, which
-is seedable and portable across platforms.
+sample covariance (1/M) X_O X_O^T feeds every solver. ObservedCovariances
+is the one place that checks a set of layer covariances and stacks them
+for the solvers. The RNG is numpy's PCG64 with the
+Generator.standard_normal ziggurat method, which is seedable and
+portable across platforms.
 """
 from dataclasses import dataclass
 
@@ -15,32 +17,52 @@ from .graphs import BlockPartition, MultiLayerFamily, PrecisionGraph
 from .prox import symmetrize
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class ObservedCovariances:
-    """Per-layer observed sample covariances of common dimension."""
+    """Per-layer observed sample covariances C_O^k, checked once.
 
-    covs: tuple
-    counts: tuple
+    The one place that validates covariances: ``covs`` is a sequence of
+    K >= 1 square matrices of one dimension o >= 1 with finite entries,
+    stored symmetrized as one read-only (K, o, o) float array. Every
+    solver, objective and the reference oracle reads its covariances
+    through ``of``.
+
+    Raises
+    ------
+    InvalidInput
+        If a matrix is not square, none is given, they differ in
+        dimension, they are 0 x 0, or one has a non-finite entry.
+    """
+
+    covs: np.ndarray
 
     def __post_init__(self):
-        covs = tuple(symmetrize(c) for c in self.covs)
-        if not covs:
+        mats = [symmetrize(c) for c in self.covs]
+        if not mats:
             raise InvalidInput("need at least one covariance")
-        dim = covs[0].shape[0]
-        if any(c.shape[0] != dim for c in covs):
+        if any(c.shape != mats[0].shape for c in mats):
             raise InvalidInput("covariances must share one dimension")
-        if len(self.counts) != len(covs) or any(m < 1 for m in self.counts):
-            raise InvalidInput("one positive sample count per layer is required")
-        object.__setattr__(self, "covs", covs)
-        object.__setattr__(self, "counts", tuple(int(m) for m in self.counts))
+        if mats[0].size == 0:
+            raise InvalidInput("covariances must have at least one row")
+        for i, c in enumerate(mats):
+            if not np.isfinite(c).all():
+                raise InvalidInput(f"covariance of layer {i} has non-finite entries")
+        stack = np.array(mats)
+        stack.flags.writeable = False
+        object.__setattr__(self, "covs", stack)
+
+    @classmethod
+    def of(cls, covs) -> "ObservedCovariances":
+        """covs itself if it is an ObservedCovariances, else one built from it."""
+        return covs if isinstance(covs, cls) else cls(covs)
 
     @property
     def n_layers(self) -> int:
-        return len(self.covs)
+        return self.covs.shape[0]
 
     @property
     def dim(self) -> int:
-        return self.covs[0].shape[0]
+        return self.covs.shape[1]
 
 
 def sample_gmrf(s, m: int, rng_seed: int) -> np.ndarray:
@@ -80,4 +102,4 @@ def sample_family(family: MultiLayerFamily, m: int, base_seed: int) -> ObservedC
     """
     covs = tuple(observed_sample_cov(sample_gmrf(layer, m, base_seed + k), family.partition)
                  for k, layer in enumerate(family.layers))
-    return ObservedCovariances(covs, (m,) * family.n_layers)
+    return ObservedCovariances(covs)

@@ -23,13 +23,17 @@ one-layer cases: the graphical lasso (GL) is GGL at one layer with
 lambda2 = 0, and the latent-variable graphical lasso (LVGL) is the joint
 estimator at K = 1.
 
+Every solver, both objectives and the reference oracle take the
+covariances as an ObservedCovariances or as a sequence of matrices,
+which they pass through ObservedCovariances.of: the one place that
+checks them and stacks them as (K, o, o).
+
 A slow projected-subgradient reference solver for tiny instances is
 provided as an independent check of the ADMM solutions.
 """
 import math
 import numbers
 from dataclasses import dataclass
-from enum import Enum
 
 import numpy as np
 
@@ -59,16 +63,9 @@ _ADAPT_FACTOR = 2.0
 _RELAX = 1.5
 
 
-class AdmissibleSet(Enum):
-    """Constraint set for the sparse estimates S_O."""
-
-    SYMMETRIC = "symmetric"
-    NONPOSITIVE_OFFDIAG = "nonpositive_offdiag"
-
-
 @dataclass(frozen=True)
 class SolverConfig:
-    """Stopping rule and constraint set shared by all solvers.
+    """Stopping rule shared by all solvers.
 
     Every ADMM solve starts from step 1, which residual balancing then
     adapts, and floors the spectrum of its returned S - P at 1e-8.
@@ -77,11 +74,8 @@ class SolverConfig:
     max_iters: int = 2000
     tol_primal: float = 1e-5
     tol_dual: float = 1e-5
-    admissible_set: AdmissibleSet = AdmissibleSet.SYMMETRIC
 
     def __post_init__(self):
-        if isinstance(self.admissible_set, str):
-            object.__setattr__(self, "admissible_set", AdmissibleSet(self.admissible_set.lower()))
         if not isinstance(self.max_iters, numbers.Integral) or self.max_iters < 1:
             raise InvalidInput(f"max_iters must be an integer >= 1, got {self.max_iters!r}")
         if not (0 < self.tol_primal < np.inf and 0 < self.tol_dual < np.inf):
@@ -145,32 +139,6 @@ class JointEstimate:
     residual_history: np.ndarray   # (iterations, 2): relative primal/dual
 
 
-def _as_cov_list(covs):
-    if isinstance(covs, ObservedCovariances):
-        return list(covs.covs)
-    return [symmetrize(c) for c in covs]
-
-
-def _cov_stack(covs):
-    """The symmetrized covariances as one (K, o, o) stack, for the solvers.
-
-    Raises InvalidInput when none is given, when they differ in
-    dimension, when they are empty or when one has a non-finite entry.
-    """
-    cov_list = _as_cov_list(covs)
-    if not cov_list:
-        raise InvalidInput("need at least one covariance")
-    if any(c.shape != cov_list[0].shape for c in cov_list):
-        raise InvalidInput("covariances must share one dimension")
-    if cov_list[0].size == 0:
-        raise InvalidInput("covariances must have at least one row")
-    stack = np.asarray(cov_list)
-    if not np.isfinite(stack).all():
-        bad = next(i for i, c in enumerate(cov_list) if not np.isfinite(c).all())
-        raise InvalidInput(f"covariance of layer {bad} has non-finite entries")
-    return stack
-
-
 def _estimate_stack(a, shape, name):
     """The estimates a as one float array; InvalidInput unless it has the
     covariance stack's shape (K, o, o)."""
@@ -201,7 +169,7 @@ def joint_objective(s, p, covs, w: PenaltyWeights) -> float:
     The nuclear norm of the symmetric P^k is evaluated as the sum of
     absolute eigenvalues, which reduces to the trace on the PSD cone.
     """
-    cov_stack = np.asarray(_as_cov_list(covs))
+    cov_stack = ObservedCovariances.of(covs).covs
     k = len(cov_stack)
     if w.n_layers != k:
         raise InvalidInput(f"weights describe {w.n_layers} layers but {k} covariances given")
@@ -236,7 +204,7 @@ def ggl_objective(s_list, covs, lambda1: float, lambda2: float) -> float:
     penalty, both on the off-diagonal entries; +inf when some S^k is not
     positive definite. At one layer with lambda2 = 0 this is the
     graphical-lasso objective."""
-    cov_stack = np.asarray(_as_cov_list(covs))
+    cov_stack = ObservedCovariances.of(covs).covs
     stack = _estimate_stack(s_list, cov_stack.shape, "s")
     ev = np.linalg.eigvalsh(stack)
     if ev.min() <= 0:
@@ -256,15 +224,6 @@ def ggl_objective(s_list, covs, lambda1: float, lambda2: float) -> float:
 # ---------------------------------------------------------------------------
 # Shared pieces of the splitting loops
 # ---------------------------------------------------------------------------
-
-def _project_admissible(a, admissible_set):
-    if admissible_set is AdmissibleSet.NONPOSITIVE_OFFDIAG:
-        diag = np.diagonal(a, axis1=-2, axis2=-1).copy()
-        a = np.minimum(a, 0.0)
-        idx = np.arange(a.shape[-1])
-        a[..., idx, idx] = diag
-    return a
-
 
 def _rebalance(sigma, duals, rp, rd):
     """Residual balancing (Boyd et al., ADMM, FnT-ML 2011, sec. 3.4.1):
@@ -377,17 +336,14 @@ def solve_joint_hidden(covs, w: PenaltyWeights, cfg: SolverConfig = SolverConfig
         (see PenaltyWeights.tied): prox.symmetric_fused_prox builds the
         fused prox, which for non-uniform weights enumerates 2^K cuts.
     """
-    cov_stack = _cov_stack(covs)
+    observed = ObservedCovariances.of(covs)
+    cov_stack = observed.covs
     k, o, _ = cov_stack.shape
     if w.n_layers != k:
         raise InvalidInput(f"weights describe {w.n_layers} layers but {k} covariances given")
     s_fused = symmetric_fused_prox(w.rho, w.rho_pair, o, False)
     p_fused = symmetric_fused_prox(np.zeros(k), w.beta_pair, o, True)
-
-    def s_prox(v, sigma):
-        return _project_admissible(s_fused(v, sigma), cfg.admissible_set)
-
-    x_proxes = (lambda v, sigma: prox_logdet(v, cov_stack, sigma), s_prox,
+    x_proxes = (lambda v, sigma: prox_logdet(v, cov_stack, sigma), s_fused,
                 lambda v, sigma: prox_psd_trace(v, w.beta / sigma), p_fused)
 
     def z_step(t, sigma):
@@ -403,7 +359,7 @@ def solve_joint_hidden(covs, w: PenaltyWeights, cfg: SolverConfig = SolverConfig
     return JointEstimate(
         s_hat=tuple(s_hat),
         p_hat=tuple(p_hat),
-        objective=joint_objective(s_hat, p_hat, cov_stack, w),
+        objective=joint_objective(s_hat, p_hat, observed, w),
         iterations=iterations,
         converged=converged,
         residual_history=history,
@@ -436,7 +392,7 @@ def solve_ggl(covs, lambda1: float, lambda2: float, cfg: SolverConfig = SolverCo
     """
     if not (0 <= lambda1 < np.inf and 0 <= lambda2 < np.inf):
         raise InvalidInput("lambda1 and lambda2 must be finite and nonnegative")
-    cov_stack = _cov_stack(covs)
+    cov_stack = ObservedCovariances.of(covs).covs
     k, o, _ = cov_stack.shape
     diag = np.eye(o, dtype=bool)
 
@@ -446,7 +402,7 @@ def solve_ggl(covs, lambda1: float, lambda2: float, cfg: SolverConfig = SolverCo
         group = np.sqrt(np.sum(z * z, axis=0))
         z = z * np.maximum(0.0, 1.0 - (lambda2 / sigma) / np.maximum(group, 1e-300))
         z[:, diag] = v[:, diag]
-        return (_project_admissible(z, cfg.admissible_set),)
+        return (z,)
 
     z0 = (np.broadcast_to(np.eye(o), (k, o, o)).copy(),)
     x_proxes = (lambda v, sigma: prox_logdet(v, cov_stack, sigma),)
@@ -470,18 +426,19 @@ def solve_gl(cov, lam: float, cfg: SolverConfig = SolverConfig()):
 
 @dataclass(frozen=True)
 class JointProblem:
-    """Joint hidden-variable objective for the reference oracle."""
+    """Joint hidden-variable objective for the reference oracle; covs is an
+    ObservedCovariances or a sequence of matrices."""
 
-    covs: tuple
+    covs: object
     weights: PenaltyWeights
 
 
 @dataclass(frozen=True)
 class GGLProblem:
     """Group graphical lasso objective (no latent part); one layer with
-    lambda2 = 0 is the graphical lasso."""
+    lambda2 = 0 is the graphical lasso. covs is as in JointProblem."""
 
-    covs: tuple
+    covs: object
     lambda1: float
     lambda2: float
 
@@ -496,11 +453,11 @@ class OracleSolution:
 def _oracle_pieces(problem):
     """(cov_stack, objective(s_stack, p_stack), subgrad(s, p), has_latent)."""
     if isinstance(problem, JointProblem):
-        cov_stack = _cov_stack(problem.covs)
+        observed = ObservedCovariances.of(problem.covs)
+        cov_stack = observed.covs
         w = problem.weights
         k, o = cov_stack.shape[:2]
         offmask = 1.0 - np.eye(o)
-        observed = ObservedCovariances(tuple(cov_stack), (1,) * k)
         rho = w.rho[:, None, None]
         beta_eye = w.beta[:, None, None] * np.eye(o)
 
@@ -523,10 +480,9 @@ def _oracle_pieces(problem):
         return cov_stack, objective, subgrad, True
 
     if isinstance(problem, GGLProblem):
-        cov_stack = _cov_stack(problem.covs)
-        k, o = cov_stack.shape[:2]
-        offmask = 1.0 - np.eye(o)
-        observed = ObservedCovariances(tuple(cov_stack), (1,) * k)
+        observed = ObservedCovariances.of(problem.covs)
+        cov_stack = observed.covs
+        offmask = 1.0 - np.eye(cov_stack.shape[1])
 
         def objective(s, p):
             return ggl_objective(s, observed, problem.lambda1, problem.lambda2)

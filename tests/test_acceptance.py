@@ -139,7 +139,7 @@ def test_criterion_3_solver_oracle_equivalence():
         beta_p = float(rng.uniform(0.0, 0.15))
 
         w = PenaltyWeights.tied(2, rho, beta, rho_p, beta_p)
-        est = solve_joint_hidden(ObservedCovariances(tuple(covs), (120, 120)), w, tight)
+        est = solve_joint_hidden(ObservedCovariances(tuple(covs)), w, tight)
         oracle = reference_oracle(JointProblem(tuple(covs), w), budget=budget)
         gaps["joint"].append(abs(est.objective - oracle.objective) / abs(oracle.objective))
 
@@ -169,7 +169,7 @@ def test_criterion_4_reduction_identities():
 
     covs = random_tiny_instance(rng, o=5, k=1, m=100)
     w1 = PenaltyWeights.tied(1, 0.12, 0.25)
-    est = solve_joint_hidden(ObservedCovariances(tuple(covs), (100,)), w1, tight)
+    est = solve_joint_hidden(ObservedCovariances(tuple(covs)), w1, tight)
     s_lv, p_lv = solve_lvgl(covs[0], 0.12, 0.25, tight)
     obj_lv = joint_objective([s_lv], [p_lv], covs, w1)
     gap_a = abs(est.objective - obj_lv) / abs(obj_lv)

@@ -27,7 +27,7 @@ from ggm.experiments import (
     write_manifest,
     _one_blas_thread,
 )
-from ggm.io import write_matrix_csv
+from ggm.io import read_matrix_csv, write_matrix_csv
 
 TINY_GRIDS = dict(rho_grid=(0.05, 0.2), beta_grid=(0.1, 0.5), eta_grid=(1.0,),
                   max_iters=300, tol_primal=1e-4, tol_dual=1e-4)
@@ -85,7 +85,7 @@ def test_config_rejections(tmp_path):
     with pytest.raises(ConfigError):
         build_config("tc1", {}, n_hidden=10, n=10)
     for bad in ({"rho_grid": "0.05,nan"}, {"beta_grid": "0.1,-1"}, {"eta_grid": "inf"},
-                {"tol_primal": "nan"}, {"admissible_set": "bogus"}, {"m": "abc"},
+                {"tol_primal": "nan"}, {"m": "abc"},
                 {"max_iters": "nan"}, {"k_sweep": "2,x"}, {"rho_grid": "0.1,y"}):
         with pytest.raises(ConfigError):
             build_config("tc1", {}, **bad)
@@ -352,8 +352,9 @@ def test_cli_run_with_config_file(tmp_path, capsys):
 
 
 def test_cli_run_rejects_unknown_key(tmp_path, capsys):
-    for key in ("--bogus", "--step", "--pd-floor"):
-        code = main(["run", "tc1", "--out", str(tmp_path / "x.csv"), key, "1"])
+    for key, value in (("--bogus", "1"), ("--step", "1"), ("--pd-floor", "1"),
+                       ("--admissible-set", "symmetric")):
+        code = main(["run", "tc1", "--out", str(tmp_path / "x.csv"), key, value])
         assert code == 2
         assert "unknown config key" in capsys.readouterr().err
 
@@ -391,6 +392,16 @@ def test_cli_solve_and_oracle(tmp_path, capsys):
     assert code == 0
     assert (out / "s_hat_1.csv").exists() and (out / "p_hat_2.csv").exists()
     assert "objective" in capsys.readouterr().out
+    # an asymmetric CSV is read as its symmetric part
+    sym = read_matrix_csv(paths[0])
+    sym = 0.5 * (sym + sym.T)
+    asym = tmp_path / "asym.csv"
+    write_matrix_csv(2.0 * np.tril(sym, -1) + np.diag(np.diag(sym)), asym)
+    sym_out, asym_out = tmp_path / "sym", tmp_path / "asym"
+    for path, target in ((paths[0], sym_out), (str(asym), asym_out)):
+        assert main(["solve", "--covs", path, "--out", str(target)]) == 0
+    assert (asym_out / "s_hat_1.csv").read_bytes() == (sym_out / "s_hat_1.csv").read_bytes()
+    capsys.readouterr()
     code = main(["solve", "--covs", *paths, "--rho", "nan", "--out", str(out)])
     assert code == 2
     assert "finite" in capsys.readouterr().err

@@ -66,6 +66,8 @@ def test_pajek_rejects_malformed():
         ('*Vertices 2\n*Edges\n1 2 inf\n', 3),
         ('*Vertices \u00b2\n', 1),              # a digit that int() does not read
         ('*Vertices 2\n\u00b2 "a"\n', 2),
+        ('*Vertices ' + '1' * 5000 + '\n', 1),   # too long for int()
+        ('*Vertices 2\n' + '1' * 5000 + ' "a"\n', 2),
     ]:
         with pytest.raises(ParseError) as err:
             parse_pajek(text)
@@ -133,6 +135,9 @@ def test_edge_list_rejects_duplicates_and_loops():
         with pytest.raises(ParseError) as err:
             parse_edge_list(f'3 # nodes\n1 2\n\n2 3 {weight}\n')
         assert err.value.line == 4
+    with pytest.raises(ParseError) as err:
+        parse_edge_list('% count\n' + '1' * 5000 + '\n')   # too long for int()
+    assert err.value.line == 2
 
 
 def test_load_graph_file_sniffs_the_format(tmp_path):

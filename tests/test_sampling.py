@@ -107,7 +107,6 @@ def test_sample_family_shapes_and_seeds():
     pgs = tuple(to_precision(g, rng_seed=i) for i, g in enumerate(graphs))
     fam = MultiLayerFamily(pgs, choose_hidden(10, 2, 2))
     covs = sample_family(fam, 25, 77)
-    assert covs.counts == (25, 25, 25)
     assert covs.n_layers == 3 and covs.dim == 8
     # layer seeds are base_seed + k: layer 1 here equals layer 0 of base 78
     again = observed_sample_cov(sample_gmrf(pgs[1], 25, 78), fam.partition)
@@ -115,7 +114,18 @@ def test_sample_family_shapes_and_seeds():
 
 
 def test_observed_covariances_validation():
-    with pytest.raises(InvalidInput):
-        ObservedCovariances((np.eye(2), np.eye(3)), (1, 1))
-    with pytest.raises(InvalidInput):
-        ObservedCovariances((np.eye(2),), (0,))
+    for bad in ((np.eye(2), np.eye(3)), (), (np.ones((2, 3)),), (np.zeros((0, 0)),),
+                (np.eye(2), np.full((2, 2), np.nan))):
+        with pytest.raises(InvalidInput):
+            ObservedCovariances(bad)
+    # one read-only (K, o, o) float stack of the symmetric parts
+    asym = np.array([[1.0, 0.25], [0.75, 1.0]])
+    covs = ObservedCovariances((np.eye(2), asym, np.eye(2, dtype=int)))
+    assert isinstance(covs.covs, np.ndarray)
+    assert covs.covs.shape == (3, 2, 2) and covs.covs.dtype == float
+    assert np.array_equal(covs.covs[1], [[1.0, 0.5], [0.5, 1.0]])
+    assert not covs.covs.flags.writeable
+    with pytest.raises(ValueError):
+        covs.covs[0, 0, 0] = 2.0
+    assert ObservedCovariances.of(covs) is covs
+    assert np.array_equal(ObservedCovariances.of(list(covs.covs)).covs, covs.covs)

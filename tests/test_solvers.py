@@ -104,7 +104,7 @@ def test_objective_matches_independent_evaluator():
 # ---------------------------------------------------------------------------
 
 def test_joint_identity_cov_recovers_identity():
-    covs = ObservedCovariances((np.eye(4),), (100,))
+    covs = ObservedCovariances((np.eye(4),))
     w = PenaltyWeights.tied(1, 0.0, 1e3)
     est = solve_joint_hidden(covs, w, TIGHT)
     assert np.linalg.norm(est.s_hat[0] - np.eye(4)) < 1e-3
@@ -114,7 +114,7 @@ def test_joint_identity_cov_recovers_identity():
 def test_joint_fusion_consensus_limit():
     rng = np.random.default_rng(2)
     c = random_pd_matrix(rng, 4)
-    covs = ObservedCovariances((c, c), (50, 50))
+    covs = ObservedCovariances((c, c))
     w = PenaltyWeights.tied(2, 0.05, 0.2, 1e4, 1e4)
     est = solve_joint_hidden(covs, w, TIGHT)
     assert np.linalg.norm(est.s_hat[0] - est.s_hat[1]) < 1e-6
@@ -123,7 +123,7 @@ def test_joint_fusion_consensus_limit():
 
 def test_joint_estimate_invariants():
     rng = np.random.default_rng(3)
-    covs = ObservedCovariances(tuple(random_tiny_instance(rng, o=5, k=2, m=60)), (60, 60))
+    covs = ObservedCovariances(tuple(random_tiny_instance(rng, o=5, k=2, m=60)))
     w = PenaltyWeights.tied(2, 0.08, 0.15, 0.04, 0.05)
     cfg = SolverConfig()
     est = solve_joint_hidden(covs, w, cfg)
@@ -137,24 +137,38 @@ def test_joint_estimate_invariants():
     assert est.residual_history.shape == (est.iterations, 2)
 
 
-@pytest.mark.parametrize("bad", [np.nan, np.inf])
-@pytest.mark.parametrize("method", ["GL", "GGL", "LVGL", "Joint", "Oracle"])
-def test_solvers_reject_nonfinite_covariance(method, bad):
-    good = np.eye(3)
-    cov = np.eye(3)
-    cov[0, 2] = cov[2, 0] = bad
+def _covariance_users(good, cov):
+    """Each entry point that takes covariances, called on layers (good, cov)
+    (GL and LVGL on cov alone)."""
     cfg = SolverConfig(max_iters=2)
-    solve = {
+    w = PenaltyWeights.tied(2, 0.1, 0.1)
+    return {
         "GL": lambda: solve_gl(cov, 0.1, cfg),
         "GGL": lambda: solve_ggl([good, cov], 0.1, 0.1, cfg),
         "LVGL": lambda: solve_lvgl(cov, 0.1, 0.1, cfg),
-        "Joint": lambda: solve_joint_hidden([good, cov], PenaltyWeights.tied(2, 0.1, 0.1), cfg),
-        "Oracle": lambda: reference_oracle(
-            JointProblem((good, cov), PenaltyWeights.tied(2, 0.1, 0.1)), budget=2),
-    }[method]
+        "Joint": lambda: solve_joint_hidden([good, cov], w, cfg),
+        "Oracle": lambda: reference_oracle(JointProblem((good, cov), w), budget=2),
+        "joint_objective": lambda: joint_objective([good, good], np.zeros((2, 3, 3)),
+                                                   [good, cov], w),
+        "ggl_objective": lambda: ggl_objective([good, good], [good, cov], 0.1, 0.1),
+    }
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+@pytest.mark.parametrize("method", ["GL", "GGL", "LVGL", "Joint", "Oracle", "joint_objective",
+                                    "ggl_objective"])
+def test_solvers_reject_nonfinite_covariance(method, bad):
+    cov = np.eye(3)
+    cov[0, 2] = cov[2, 0] = bad
     layer = 0 if method in ("GL", "LVGL") else 1
     with pytest.raises(InvalidInput, match=f"layer {layer} has non-finite"):
-        solve()
+        _covariance_users(np.eye(3), cov)[method]()
+
+
+@pytest.mark.parametrize("method", ["GGL", "Joint", "Oracle", "joint_objective", "ggl_objective"])
+def test_solvers_reject_covariances_of_different_sizes(method):
+    with pytest.raises(InvalidInput, match="share one dimension"):
+        _covariance_users(np.eye(3), np.eye(4))[method]()
 
 
 _NONFINITE_SETTINGS = {
@@ -222,7 +236,7 @@ def test_solvers_reject_empty_covariance(method):
 def test_joint_deterministic():
     # no solver state leaks from one call into the next or into the caller's arrays
     rng = np.random.default_rng(4)
-    covs = ObservedCovariances(tuple(random_tiny_instance(rng, o=4, k=2)), (100, 100))
+    covs = ObservedCovariances(tuple(random_tiny_instance(rng, o=4, k=2)))
     before = [c.copy() for c in covs.covs]
     w = PenaltyWeights.tied(2, 0.1, 0.2, 0.05, 0.05)
     a = solve_joint_hidden(covs, w)
@@ -265,14 +279,14 @@ def test_admm_iteration_ceilings(monkeypatch, measured, solve):
 
 
 def test_joint_rejects_mismatched_layers():
-    covs = ObservedCovariances((np.eye(3), np.eye(3)), (10, 10))
+    covs = ObservedCovariances((np.eye(3), np.eye(3)))
     with pytest.raises(InvalidInput):
         solve_joint_hidden(covs, PenaltyWeights.tied(3, 0.1, 0.1))
 
 
 def test_joint_more_iterations_never_worse():
     rng = np.random.default_rng(5)
-    covs = ObservedCovariances(tuple(random_tiny_instance(rng, o=4, k=2)), (100, 100))
+    covs = ObservedCovariances(tuple(random_tiny_instance(rng, o=4, k=2)))
     w = PenaltyWeights.tied(2, 0.1, 0.2, 0.05, 0.05)
     short = solve_joint_hidden(covs, w, SolverConfig(max_iters=60))
     long = solve_joint_hidden(covs, w, SolverConfig(max_iters=120))
@@ -282,7 +296,7 @@ def test_joint_more_iterations_never_worse():
 def test_joint_nonuniform_weights_match_uniform_when_equal():
     # the minimum-cut fused prox must agree with the sort/isotonic one
     rng = np.random.default_rng(6)
-    covs = ObservedCovariances(tuple(random_tiny_instance(rng, o=4, k=3)), (100,) * 3)
+    covs = ObservedCovariances(tuple(random_tiny_instance(rng, o=4, k=3)))
     uni = PenaltyWeights.tied(3, 0.1, 0.2, 0.05, 0.04)
     rho_pair = uni.rho_pair.copy()
     rho_pair[0, 1] = rho_pair[1, 0] = 0.05 + 1e-12   # break exact uniformity
@@ -389,12 +403,10 @@ def test_gl_diagonal_covariance():
     assert np.allclose(s, np.diag([2.0, 0.5, 0.25]), atol=1e-6)
 
 
-@pytest.mark.parametrize("admissible_set", ["symmetric", "nonpositive_offdiag"])
-def test_gl_is_one_layer_ggl_without_group_weight(admissible_set):
+def test_gl_is_one_layer_ggl_without_group_weight():
     rng = np.random.default_rng(17)
     c = random_tiny_instance(rng, o=5, k=1, m=40)[0]
-    cfg = SolverConfig(admissible_set=admissible_set)
-    assert np.array_equal(solve_gl(c, 0.1, cfg), solve_ggl([c], 0.1, 0.0, cfg)[0])
+    assert np.array_equal(solve_gl(c, 0.1), solve_ggl([c], 0.1, 0.0)[0])
 
 
 def test_gl_full_shrinkage():
@@ -412,7 +424,7 @@ def test_gl_matches_joint_with_huge_beta():
     lam = 0.1
     s_gl = solve_gl(c, lam, TIGHT)
     est = solve_joint_hidden(
-        ObservedCovariances((c,), (1,)),
+        ObservedCovariances((c,)),
         PenaltyWeights.tied(1, lam, 1e6), TIGHT)
     assert np.linalg.norm(s_gl - est.s_hat[0]) < 1e-3
 
@@ -422,7 +434,7 @@ def test_lvgl_equals_joint_k1():
     c = random_tiny_instance(rng, o=4, k=1)[0]
     s, p = solve_lvgl(c, 0.1, 0.2)
     est = solve_joint_hidden(
-        ObservedCovariances((c,), (1,)), PenaltyWeights.tied(1, 0.1, 0.2))
+        ObservedCovariances((c,)), PenaltyWeights.tied(1, 0.1, 0.2))
     assert np.array_equal(s, est.s_hat[0])
     assert np.array_equal(p, est.p_hat[0])
     obj = joint_objective([s], [p], [c], PenaltyWeights.tied(1, 0.1, 0.2))
@@ -468,20 +480,6 @@ def test_ggl_identical_covariances_fuse():
 def test_ggl_rejects_negative_weights():
     with pytest.raises(InvalidInput):
         solve_ggl([np.eye(2)], -0.1, 0.0)
-
-
-def test_nonpositive_offdiag_admissible_set():
-    # covariance with negative correlations -> unconstrained precision has
-    # positive off-diagonals the projection must remove
-    c = np.array([[1.0, -0.6, 0.1], [-0.6, 1.0, -0.4], [0.1, -0.4, 1.0]])
-    cfg = SolverConfig(admissible_set="nonpositive_offdiag",
-                       tol_primal=1e-7, tol_dual=1e-7, max_iters=10_000)
-    off = ~np.eye(3, dtype=bool)
-    s = solve_gl(c, 0.01, cfg)
-    assert np.all(s[off] <= 0.0)
-    covs = ObservedCovariances((c,), (1,))
-    est = solve_joint_hidden(covs, PenaltyWeights.tied(1, 0.01, 0.5), cfg)
-    assert np.all(est.s_hat[0][off] <= 0.0)
 
 
 # ---------------------------------------------------------------------------
@@ -530,7 +528,7 @@ def test_admm_matches_oracle_on_tiny_instances():
         rho, beta = float(rng.uniform(0.05, 0.3)), float(rng.uniform(0.05, 0.4))
         rho_p, beta_p = float(rng.uniform(0.0, 0.15)), float(rng.uniform(0.0, 0.15))
         w = PenaltyWeights.tied(2, rho, beta, rho_p, beta_p)
-        est = solve_joint_hidden(ObservedCovariances(tuple(covs), (120, 120)), w, TIGHT)
+        est = solve_joint_hidden(ObservedCovariances(tuple(covs)), w, TIGHT)
         oracle = reference_oracle(JointProblem(tuple(covs), w), budget=12_000)
         assert abs(est.objective - oracle.objective) <= 1e-3 * abs(oracle.objective)
 
