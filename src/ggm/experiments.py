@@ -7,7 +7,9 @@ Every cell (sweep value, realization) derives its seeds from
 see identical data. Selection is one task per sweep value x method on
 the held-out cell, run on the same process pool as the Monte Carlo
 cells and reduced in grid order in the parent, so reruns are
-byte-identical and the result does not depend on the worker count.
+byte-identical and the result does not depend on the worker count. A
+selection task walks its grid as warm-started rho paths; every Monte
+Carlo solve starts cold, so it equals the public solver's output.
 """
 import ctypes
 import math
@@ -34,8 +36,17 @@ from .graphs import (
 )
 from .io import load_multilayer
 from .metrics import mean_normalized_error
-from .sampling import sample_family
-from .solvers import PenaltyWeights, SolverConfig, solve_ggl, solve_gl, solve_joint_hidden, solve_lvgl
+from .sampling import ObservedCovariances, sample_family
+from .solvers import (  # noqa: F401  (perfbench/spans.py wraps the public solvers here)
+    PenaltyWeights,
+    SolverConfig,
+    _solve_ggl,
+    _solve_joint,
+    solve_ggl,
+    solve_gl,
+    solve_joint_hidden,
+    solve_lvgl,
+)
 
 METHODS = ("GL", "GGL", "LVGL", "Joint")
 EXPERIMENTS = ("tc1", "tc2", "tc3")
@@ -252,6 +263,9 @@ class RunResult:
     selected: dict                 # sweep value -> MethodParams
     mc_invocations: int
     selection_invocations: int
+    # method invocations with a solve that stopped at max_iters unconverged
+    mc_unconverged: int
+    selection_unconverged: int
     runtime_seconds: float
     selection_seconds: float
     monte_carlo_seconds: float
@@ -327,7 +341,8 @@ def realize_cell(cfg: ExperimentConfig, sweep_index: int, realization: int):
 # ---------------------------------------------------------------------------
 
 def _grid(cfg: ExperimentConfig, method: str) -> list:
-    """A method's candidate hyperparameter tuples, in selection order."""
+    """A method's candidate hyperparameter tuples, in selection order. The
+    first entry is the outer loop, over rho_grid."""
     rho, beta, eta = cfg.rho_grid, cfg.beta_grid, cfg.eta_grid
     return {
         "GL": [(lam,) for lam in rho],
@@ -337,31 +352,66 @@ def _grid(cfg: ExperimentConfig, method: str) -> list:
     }[method]
 
 
-def _estimate(method: str, covs, hp: tuple, solver_cfg: SolverConfig) -> list:
-    """One method's S_O estimates, one per layer, at hyperparameters hp."""
-    if method == "GL":
-        return [solve_gl(c, hp[0], solver_cfg) for c in covs.covs]
-    if method == "GGL":
-        return solve_ggl(covs, hp[0], hp[1], solver_cfg)
-    if method == "LVGL":
-        return [solve_lvgl(c, hp[0], hp[1], solver_cfg)[0] for c in covs.covs]
-    rho, beta, eta = hp
+def _solve(method: str, covs, hp: tuple, solver_cfg: SolverConfig, start):
+    """One solve of a method on the ObservedCovariances covs, from the
+    AdmmState start (None: cold): (S_O estimates, converged, end AdmmState)."""
+    if method in ("GL", "GGL"):   # GL is GGL at one layer, lambda2 = 0
+        return _solve_ggl(covs, hp[0], hp[1] if method == "GGL" else 0.0, solver_cfg, start)
+    rho, beta, eta = hp if method == "Joint" else (*hp, 0.0)   # LVGL is Joint at K = 1
     weights = PenaltyWeights.tied(covs.n_layers, rho, beta, rho * eta, beta * eta)
-    return list(solve_joint_hidden(covs, weights, solver_cfg).s_hat)
+    est, end = _solve_joint(covs, weights, solver_cfg, start)
+    return list(est.s_hat), est.converged, end
 
 
-def _score_cell(cfg: ExperimentConfig, sweep_index: int, realization: int, jobs) -> list:
-    """Realize one cell once and return the error of each (method, hp) job."""
+def _estimate(method: str, covs, hp: tuple, solver_cfg: SolverConfig, start=None):
+    """One method's S_O estimates, one per layer, at hyperparameters hp;
+    whether every solve converged; and the end state to start the next
+    call from. start is such a state (None: cold, as the public solvers
+    start). GL and LVGL solve each layer on its own and keep one state per
+    layer."""
+    if method in ("GGL", "Joint"):
+        return _solve(method, covs, hp, solver_cfg, start)
+    runs = [_solve(method, ObservedCovariances((c,)), hp, solver_cfg, s)
+            for c, s in zip(covs.covs, start or repeat(None))]
+    estimates, converged, ends = zip(*runs)
+    return [s for layer in estimates for s in layer], all(converged), ends
+
+
+def _score_cell(cfg: ExperimentConfig, sweep_index: int, realization: int, jobs):
+    """Realize one Monte Carlo cell once and solve each (method, hp) job
+    cold: (the error of each job, the number of jobs that did not converge)."""
     covs, truths = realize_cell(cfg, sweep_index, realization)
     solver_cfg = cfg.solver_config()
-    return [mean_normalized_error(_estimate(method, covs, hp, solver_cfg), truths)
-            for method, hp in jobs]
+    errors, unconverged = [], 0
+    for method, hp in jobs:
+        estimates, converged, _ = _estimate(method, covs, hp, solver_cfg)
+        errors.append(mean_normalized_error(estimates, truths))
+        unconverged += not converged
+    return errors, unconverged
 
 
-def _score_cells(mapper, cfg: ExperimentConfig, cells) -> list:
-    """Map _score_cell over (sweep_index, realization, jobs) cells, in order."""
-    sweep_indices, realizations, jobs = zip(*cells)
-    return list(mapper(_score_cell, repeat(cfg), sweep_indices, realizations, jobs))
+def _select_cell(cfg: ExperimentConfig, sweep_index: int, method: str):
+    """One method's held-out errors over _grid(cfg, method), in grid order,
+    and the number of grid points that did not converge.
+
+    The grid is walked as paths that fix every hyperparameter but rho (GL's
+    lambda, GGL's lambda1), each from its largest rho down. A path's first
+    solve starts cold and each later one where the previous one ended
+    (Friedman, Hastie & Tibshirani, JSS 2010)."""
+    covs, truths = realize_cell(cfg, sweep_index, cfg.n_realizations)
+    solver_cfg = cfg.solver_config()
+    grid = _grid(cfg, method)
+    n_paths = len(grid) // len(cfg.rho_grid)
+    descending = sorted(range(len(cfg.rho_grid)), key=lambda r: -cfg.rho_grid[r])
+    errors, unconverged = [None] * len(grid), 0
+    for path in range(n_paths):
+        state = None
+        for r in descending:
+            point = r * n_paths + path
+            estimates, converged, state = _estimate(method, covs, grid[point], solver_cfg, state)
+            errors[point] = mean_normalized_error(estimates, truths)
+            unconverged += not converged
+    return errors, unconverged
 
 
 def _one_blas_thread():
@@ -414,10 +464,8 @@ def run_experiment(cfg: ExperimentConfig) -> RunResult:
         mapper = pool.map if pool else map
         # Joint's grid, then LVGL's, is most of the selection time: queue them first.
         selection = [(si, method) for method in reversed(METHODS) for si in sweep_indices]
-        held_out = _score_cells(
-            mapper, cfg, [(si, cfg.n_realizations, [(method, hp) for hp in _grid(cfg, method)])
-                          for si, method in selection])
-        by_cell = dict(zip(selection, held_out))
+        held_out = list(mapper(_select_cell, repeat(cfg), *zip(*selection)))
+        by_cell = {cell: errors for cell, (errors, _) in zip(selection, held_out)}
         selected = {cfg.sweep[si]: select_params(
             cfg, {method: by_cell[si, method] for method in METHODS}) for si in sweep_indices}
         selection_seconds = time.time() - start
@@ -425,10 +473,10 @@ def run_experiment(cfg: ExperimentConfig) -> RunResult:
         cells = [(si, r, [(method, selected[cfg.sweep[si]].hyperparameters(method))
                           for method in METHODS])
                  for si in sweep_indices for r in range(cfg.n_realizations)]
-        cell_errors = _score_cells(mapper, cfg, cells)
+        scores = list(mapper(_score_cell, repeat(cfg), *zip(*cells)))
 
     raw = np.empty((len(cfg.sweep), len(METHODS), cfg.n_realizations))
-    for (si, r, _), errors in zip(cells, cell_errors):
+    for (si, r, _), (errors, _) in zip(cells, scores):
         raw[si, :, r] = errors
     runtime = time.time() - start
     return RunResult(
@@ -436,7 +484,9 @@ def run_experiment(cfg: ExperimentConfig) -> RunResult:
         raw_errors=raw,
         selected=selected,
         mc_invocations=len(METHODS) * len(cells),
-        selection_invocations=sum(len(errors) for errors in held_out),
+        selection_invocations=sum(len(errors) for errors, _ in held_out),
+        mc_unconverged=sum(n for _, n in scores),
+        selection_unconverged=sum(n for _, n in held_out),
         runtime_seconds=runtime,
         selection_seconds=selection_seconds,
         monte_carlo_seconds=runtime - selection_seconds,
@@ -480,6 +530,8 @@ def write_manifest(result: RunResult, csv_path) -> str:
     expected = len(METHODS) * len(cfg.sweep) * cfg.n_realizations
     lines.append(f"mc_method_invocations = {result.mc_invocations} (expected {expected})")
     lines.append(f"selection_method_invocations = {result.selection_invocations}")
+    lines.append(f"unconverged_method_invocations = selection {result.selection_unconverged}, "
+                 f"monte_carlo {result.mc_unconverged}")
     lines.append(f"runtime_seconds = {result.runtime_seconds:.3f}")
     lines.append(f"selection_seconds = {result.selection_seconds:.3f}")
     lines.append(f"monte_carlo_seconds = {result.monte_carlo_seconds:.3f}")

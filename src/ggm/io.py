@@ -56,10 +56,15 @@ def _edge(tokens, n, lineno):
     return (min(i, j), max(i, j)), w
 
 
-def _graph(n, weights) -> Graph:
+def _graph(n, weights, line) -> Graph:
     """Undirected graph on n nodes from {(i, j): [weights]} over 1-based
-    pairs; a pair given more than once takes the mean of its weights."""
-    a = np.zeros((n, n))
+    pairs; a pair given more than once takes the mean of its weights. A
+    ParseError at the given line, where n was declared, when no dense
+    n x n matrix can be allocated."""
+    try:
+        a = np.zeros((n, n))
+    except (ValueError, MemoryError):   # numpy's "array is too big", or no memory
+        raise ParseError(f"cannot allocate a dense graph of {n} vertices", line=line) from None
     for (i, j), ws in weights.items():
         a[i - 1, j - 1] = a[j - 1, i - 1] = np.mean(ws)
     return Graph(n, a)
@@ -86,7 +91,7 @@ def _split_tokens(line):
 def parse_pajek(text: str) -> Graph:
     """Parse the supported Pajek subset; failures report the line number.
     Vertex labels are checked but not kept; arcs are symmetrized."""
-    n = None
+    n = n_line = None
     section = None
     weights = {}          # (i, j) with i < j -> list of contributed weights
     undirected = set()    # pairs already given in an *Edges section
@@ -97,7 +102,7 @@ def parse_pajek(text: str) -> Graph:
             if key == "*vertices":
                 if n is not None:
                     raise ParseError("duplicate *Vertices section", line=lineno)
-                n = _decimal(head[1]) if len(head) == 2 else None
+                n, n_line = _decimal(head[1]) if len(head) == 2 else None, lineno
                 if not n:
                     raise ParseError("malformed *Vertices header; expected '*Vertices n'",
                                      line=lineno)
@@ -132,17 +137,17 @@ def parse_pajek(text: str) -> Graph:
         weights.setdefault(pair, []).append(w)
     if n is None:
         raise ParseError("missing *Vertices section", line=1)
-    return _graph(n, weights)
+    return _graph(n, weights, n_line)
 
 
 def parse_edge_list(text: str) -> Graph:
     """Parse the plain edge-list format: node count, then 'i j [weight]' lines."""
-    n = None
+    n = n_line = None
     weights = {}
     for lineno, line in _data_lines(text, "#%"):
         tokens = line.split()
         if n is None:
-            n = _decimal(tokens[0]) if len(tokens) == 1 else None
+            n, n_line = _decimal(tokens[0]) if len(tokens) == 1 else None, lineno
             if n is None:
                 raise ParseError("first data line must be the node count", line=lineno)
             continue
@@ -154,7 +159,7 @@ def parse_edge_list(text: str) -> Graph:
         weights[pair] = [w]
     if n is None:
         raise ParseError("empty edge-list file", line=1)
-    return _graph(n, weights)
+    return _graph(n, weights, n_line)
 
 
 def load_graph_file(path) -> Graph:

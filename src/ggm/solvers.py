@@ -18,10 +18,12 @@ symmetric_fused_prox (which also picks the fused path and its layer
 limit) on S and on P, and prox_psd_trace. The group graphical lasso
 (GGL) reuses the same kernels; it and the joint estimator share one
 over-relaxed, scaled-form ADMM loop, `_admm`, and differ only in their
-prox steps and linear maps. The single-graph baselines are their
-one-layer cases: the graphical lasso (GL) is GGL at one layer with
-lambda2 = 0, and the latent-variable graphical lasso (LVGL) is the joint
-estimator at K = 1.
+prox steps and linear maps. `_admm` can start from the state another
+solve ended in, which the private engine entry points `_solve_joint` and
+`_solve_ggl` pass through; the public solvers are those entry points
+started cold. The single-graph baselines are their one-layer cases: the
+graphical lasso (GL) is GGL at one layer with lambda2 = 0, and the
+latent-variable graphical lasso (LVGL) is the joint estimator at K = 1.
 
 Every solver, both objectives and the reference oracle take the
 covariances as an ObservedCovariances or as a sequence of matrices,
@@ -139,15 +141,28 @@ class JointEstimate:
     residual_history: np.ndarray   # (iterations, 2): relative primal/dual
 
 
+@dataclass(frozen=True)
+class AdmmState:
+    """Where an ADMM solve ended: the consensus variables z, the scaled duals
+    (one per x-block) and the step sigma. A solve of another problem of the
+    same shape can start from it (see _admm)."""
+
+    z: tuple
+    duals: tuple
+    sigma: float
+
+
 def _estimate_stack(a, shape, name):
     """The estimates a as one float array; InvalidInput unless it has the
-    covariance stack's shape (K, o, o)."""
+    covariance stack's shape (K, o, o) and finite entries."""
     try:
         a = np.asarray(a, dtype=float)
     except ValueError:   # layers of different sizes
         raise InvalidInput(f"{name} layers differ in shape; expected {shape}") from None
     if a.shape != shape:
         raise InvalidInput(f"{name} has shape {a.shape}; expected {shape}")
+    if not np.isfinite(a).all():
+        raise InvalidInput(f"{name} has a non-finite entry")
     return a
 
 
@@ -247,7 +262,7 @@ def _norm(arrays):
     return math.sqrt(sum(float(np.einsum("i,i->", a.ravel(), a.ravel())) for a in arrays))
 
 
-def _admm(x_proxes, z_step, lift, z0, cfg, name):
+def _admm(x_proxes, z_step, lift, z0, cfg, name, start=None):
     """Over-relaxed, scaled-form ADMM for min sum_i f_i(x_i) + g(z) s.t.
     x = lift(z).
 
@@ -265,18 +280,29 @@ def _admm(x_proxes, z_step, lift, z0, cfg, name):
     the size of the iterates and of the duals, both fall below the
     tolerances (Boyd et al., sec. 3.3); otherwise rebalances the step.
 
-    Returns (x, z, iterations, converged, residual_history), with the
-    history an (iterations, 2) array of relative primal/dual residuals.
+    A cold solve starts at z0 with zero duals and step 1. start, an
+    AdmmState that another solve of a problem of the same shape ended in,
+    replaces all three: a path of problems that differ only in their
+    weights, each started where the previous one ended, is a warm-started
+    regularization path (Friedman, Hastie & Tibshirani, JSS 2010). start is
+    not modified.
+
+    Returns (x, end, iterations, converged, residual_history): end is the
+    AdmmState the loop stopped in (z, the duals and sigma after the last
+    update, so a solve restarted from it continues this one), and the
+    history is an (iterations, 2) array of relative primal/dual residuals.
 
     Raises
     ------
     NumericalError
         If a residual becomes non-finite.
     """
-    z = tuple(z0)
+    z = tuple(z0) if start is None else start.z
     lz = lift(z)
-    duals = [np.zeros_like(v) for v in lz]
-    sigma = 1.0
+    if start is None:
+        duals, sigma = [np.zeros_like(v) for v in lz], 1.0
+    else:
+        duals, sigma = [u.copy() for u in start.duals], start.sigma
     history = []
     converged = False
     for it in range(cfg.max_iters):
@@ -301,7 +327,7 @@ def _admm(x_proxes, z_step, lift, z0, cfg, name):
             converged = True
             break
         sigma = _rebalance(sigma, duals, rp, rd)
-    return x, z, it + 1, converged, np.asarray(history)
+    return x, AdmmState(z, tuple(duals), sigma), it + 1, converged, np.asarray(history)
 
 
 def _floor_spectrum(s, p):
@@ -336,6 +362,12 @@ def solve_joint_hidden(covs, w: PenaltyWeights, cfg: SolverConfig = SolverConfig
         (see PenaltyWeights.tied): prox.symmetric_fused_prox builds the
         fused prox, which for non-uniform weights enumerates 2^K cuts.
     """
+    return _solve_joint(covs, w, cfg)[0]
+
+
+def _solve_joint(covs, w: PenaltyWeights, cfg: SolverConfig, start=None):
+    """solve_joint_hidden, started from the AdmmState start (None: cold);
+    returns (estimate, the AdmmState the solve ended in)."""
     observed = ObservedCovariances.of(covs)
     cov_stack = observed.covs
     k, o, _ = cov_stack.shape
@@ -352,8 +384,9 @@ def solve_joint_hidden(covs, w: PenaltyWeights, cfg: SolverConfig = SolverConfig
         return (2.0 * ta + 3.0 * tb + tc + td) / 5.0, (-ta + tb + 2.0 * tc + 2.0 * td) / 5.0
 
     z0 = (np.broadcast_to(np.eye(o), (k, o, o)).copy(), np.zeros((k, o, o)))
-    x, _, iterations, converged, history = _admm(
-        x_proxes, z_step, lambda z: (z[0] - z[1], z[0], z[1], z[1]), z0, cfg, "joint solver")
+    x, end, iterations, converged, history = _admm(
+        x_proxes, z_step, lambda z: (z[0] - z[1], z[0], z[1], z[1]), z0, cfg, "joint solver",
+        start)
     p_hat = 0.5 * (x[2] + np.swapaxes(x[2], 1, 2))
     s_hat = _floor_spectrum(x[1], p_hat)
     return JointEstimate(
@@ -363,7 +396,7 @@ def solve_joint_hidden(covs, w: PenaltyWeights, cfg: SolverConfig = SolverConfig
         iterations=iterations,
         converged=converged,
         residual_history=history,
-    )
+    ), end
 
 
 def solve_lvgl(cov, rho: float, beta: float, cfg: SolverConfig = SolverConfig()):
@@ -390,6 +423,12 @@ def solve_ggl(covs, lambda1: float, lambda2: float, cfg: SolverConfig = SolverCo
     (lambda2) on each off-diagonal entry; the prox of the group term is
     a blockwise group soft-threshold applied after the elementwise one.
     """
+    return _solve_ggl(covs, lambda1, lambda2, cfg)[0]
+
+
+def _solve_ggl(covs, lambda1: float, lambda2: float, cfg: SolverConfig, start=None):
+    """solve_ggl, started from the AdmmState start (None: cold); returns
+    (estimates, converged, the AdmmState the solve ended in)."""
     if not (0 <= lambda1 < np.inf and 0 <= lambda2 < np.inf):
         raise InvalidInput("lambda1 and lambda2 must be finite and nonnegative")
     cov_stack = ObservedCovariances.of(covs).covs
@@ -406,8 +445,9 @@ def solve_ggl(covs, lambda1: float, lambda2: float, cfg: SolverConfig = SolverCo
 
     z0 = (np.broadcast_to(np.eye(o), (k, o, o)).copy(),)
     x_proxes = (lambda v, sigma: prox_logdet(v, cov_stack, sigma),)
-    _, z, _, _, _ = _admm(x_proxes, z_step, lambda z: z, z0, cfg, "group graphical lasso")
-    return list(_floor_spectrum(z[0], None))
+    _, end, _, converged, _ = _admm(x_proxes, z_step, lambda z: z, z0, cfg,
+                                    "group graphical lasso", start)
+    return list(_floor_spectrum(end.z[0], None)), converged, end
 
 
 def solve_gl(cov, lam: float, cfg: SolverConfig = SolverConfig()):

@@ -28,6 +28,8 @@ from ggm.experiments import (
     _one_blas_thread,
 )
 from ggm.io import read_matrix_csv, write_matrix_csv
+from ggm.metrics import mean_normalized_error
+from ggm.solvers import PenaltyWeights, solve_ggl, solve_gl, solve_joint_hidden, solve_lvgl
 
 TINY_GRIDS = dict(rho_grid=(0.05, 0.2), beta_grid=(0.1, 0.5), eta_grid=(1.0,),
                   max_iters=300, tol_primal=1e-4, tol_dual=1e-4)
@@ -197,6 +199,61 @@ def test_tc1_worker_count_independent(tmp_path):
     emit_csv(serial.table, pa)
     emit_csv(pooled.table, pb)
     assert pa.read_bytes() == pb.read_bytes()
+
+
+def test_monte_carlo_cells_equal_cold_public_solves():
+    # selection walks warm-started paths; every Monte Carlo solve starts cold
+    cfg = tiny_tc1(k_sweep=(2,))
+    result = run_experiment(cfg)
+    prm, solver_cfg = result.selected[2], cfg.solver_config()
+    weights = PenaltyWeights.tied(2, prm.joint_rho, prm.joint_beta,
+                                  prm.joint_rho * prm.joint_eta, prm.joint_beta * prm.joint_eta)
+    for r in range(cfg.n_realizations):
+        covs, truths = realize_cell(cfg, 0, r)
+        public = {
+            "GL": [solve_gl(c, prm.gl_lam, solver_cfg) for c in covs.covs],
+            "GGL": solve_ggl(covs, prm.ggl_l1, prm.ggl_l2, solver_cfg),
+            "LVGL": [solve_lvgl(c, prm.lv_rho, prm.lv_beta, solver_cfg)[0] for c in covs.covs],
+            "Joint": solve_joint_hidden(covs, weights, solver_cfg).s_hat,
+        }
+        assert [mean_normalized_error(public[m], truths) for m in METHODS] == \
+            list(result.raw_errors[0, :, r])
+
+
+def test_selection_walks_warm_rho_paths(monkeypatch):
+    # one Joint path (beta = 0.01, eta = 1) on the K = 2 held-out cell of the
+    # tc1 preset at 12 realizations; its iterations were measured at 225 warm
+    # and 757 cold, and the ceiling is 10 % above the warm count
+    cfg = build_config("tc1", {}, k_sweep=(2, 3), n_realizations=12, base_seed=0,
+                       beta_grid=(0.01,), eta_grid=(1.0,), max_iters=800,
+                       tol_primal=1e-4, tol_dual=1e-4)
+    solves = []
+    solve_joint = experiments._solve_joint
+
+    def recording(covs, w, solver_cfg, start):
+        est, end = solve_joint(covs, w, solver_cfg, start)
+        solves.append((w.rho[0], start is None, est.iterations))
+        return est, end
+
+    monkeypatch.setattr(experiments, "_solve_joint", recording)
+    errors, unconverged = experiments._select_cell(cfg, 0, "Joint")
+    assert unconverged == 0 and len(errors) == len(cfg.rho_grid)
+    assert [rho for rho, _, _ in solves] == sorted(cfg.rho_grid, reverse=True)
+    assert [cold for _, cold, _ in solves] == [True] + [False] * (len(solves) - 1)
+    warm = sum(iterations for _, _, iterations in solves)
+    covs, _ = realize_cell(cfg, 0, 12)
+    cold = sum(solve_joint_hidden(covs, PenaltyWeights.tied(2, rho, 0.01, rho, 0.01),
+                                  cfg.solver_config()).iterations for rho in cfg.rho_grid)
+    assert warm <= 1.1 * 225 and warm < cold
+
+
+def test_unconverged_solves_are_counted(tmp_path):
+    runs = [run_experiment(tiny_tc1(max_iters=2, workers=workers)) for workers in (1, 2)]
+    for result in runs:
+        assert (result.selection_unconverged, result.mc_unconverged) == (28, 16)
+        assert (result.selection_invocations, result.mc_invocations) == (28, 16)
+    body = open(write_manifest(runs[1], tmp_path / "capped.csv"), encoding="utf-8").read()
+    assert "unconverged_method_invocations = selection 28, monte_carlo 16\n" in body
 
 
 def test_pool_is_capped_at_the_cpu_count(monkeypatch):

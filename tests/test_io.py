@@ -68,6 +68,7 @@ def test_pajek_rejects_malformed():
         ('*Vertices 2\n\u00b2 "a"\n', 2),
         ('*Vertices ' + '1' * 5000 + '\n', 1),   # too long for int()
         ('*Vertices 2\n' + '1' * 5000 + ' "a"\n', 2),
+        ('% big\n*Vertices ' + '1' * 13 + '\n*Edges\n1 2\n', 2),   # no dense n x n array
     ]:
         with pytest.raises(ParseError) as err:
             parse_pajek(text)
@@ -138,6 +139,9 @@ def test_edge_list_rejects_duplicates_and_loops():
     with pytest.raises(ParseError) as err:
         parse_edge_list('% count\n' + '1' * 5000 + '\n')   # too long for int()
     assert err.value.line == 2
+    with pytest.raises(ParseError, match="cannot allocate") as err:
+        parse_edge_list('1' * 13 + '\n1 2\n')
+    assert err.value.line == 1
 
 
 def test_load_graph_file_sniffs_the_format(tmp_path):

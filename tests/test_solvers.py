@@ -76,6 +76,21 @@ def test_objectives_and_oracle_reject_estimates_of_the_wrong_shape():
             reference_oracle(JointProblem((c1, c2), w), budget=10, start=([eye, eye], wrong))
 
 
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+def test_objectives_reject_nonfinite_estimates(bad):
+    c1, c2 = random_tiny_instance(np.random.default_rng(17), o=3, k=2)
+    eye, zero = np.eye(3), np.zeros((3, 3))
+    s = np.eye(3)
+    s[0, 1] = s[1, 0] = bad
+    w = PenaltyWeights.tied(2, 0.1, 0.1)
+    with pytest.raises(InvalidInput, match="s has a non-finite entry"):
+        joint_objective([eye, s], [zero, zero], [c1, c2], w)
+    with pytest.raises(InvalidInput, match="p has a non-finite entry"):
+        joint_objective([eye, eye], [zero, s], [c1, c2], w)
+    with pytest.raises(InvalidInput, match="s has a non-finite entry"):
+        ggl_objective([eye, s], [c1, c2], 0.1, 0.1)
+
+
 def test_objective_matches_independent_evaluator():
     rng = np.random.default_rng(1)
     for _ in range(10):
@@ -276,6 +291,25 @@ def test_admm_iteration_ceilings(monkeypatch, measured, solve):
     solve(covs, SolverConfig(max_iters=20_000, tol_primal=1e-7, tol_dual=1e-7))
     (_, _, iterations, converged, _), = runs
     assert converged and iterations <= 1.1 * measured
+
+
+@pytest.mark.parametrize("tol", [1e-4, 1e-5])
+def test_joint_restarted_from_its_end_state_stops_at_once(tol):
+    from ggm.experiments import build_config, realize_cell
+
+    cfg = build_config("tc1", {}, k_sweep=(2,), n_realizations=12, base_seed=0)
+    covs, _ = realize_cell(cfg, 0, 12)
+    w = PenaltyWeights.tied(2, 0.1, 0.2, 0.05, 0.1)
+    solver_cfg = SolverConfig(max_iters=2000, tol_primal=tol, tol_dual=tol)
+    est, end = solvers._solve_joint(covs, w, solver_cfg)
+    public = solve_joint_hidden(covs, w, solver_cfg)
+    assert est.converged and est.iterations > 10
+    assert all(np.array_equal(a, b) for a, b in zip(est.s_hat + est.p_hat,
+                                                    public.s_hat + public.p_hat))
+    duals = [u.copy() for u in end.duals]
+    again, _ = solvers._solve_joint(covs, w, solver_cfg, end)
+    assert again.converged and again.iterations == 1
+    assert all(np.array_equal(u, v) for u, v in zip(end.duals, duals))   # start is not modified
 
 
 def test_joint_rejects_mismatched_layers():
