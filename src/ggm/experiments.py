@@ -354,27 +354,25 @@ def _grid(cfg: ExperimentConfig, method: str) -> list:
 
 def _solve(method: str, covs, hp: tuple, solver_cfg: SolverConfig, start):
     """One solve of a method on the ObservedCovariances covs, from the
-    AdmmState start (None: cold): (S_O estimates, converged, end AdmmState)."""
+    AdmmRun start (None: cold): (S_O stack, the AdmmRun of this solve)."""
     if method in ("GL", "GGL"):   # GL is GGL at one layer, lambda2 = 0
         return _solve_ggl(covs, hp[0], hp[1] if method == "GGL" else 0.0, solver_cfg, start)
     rho, beta, eta = hp if method == "Joint" else (*hp, 0.0)   # LVGL is Joint at K = 1
     weights = PenaltyWeights.tied(covs.n_layers, rho, beta, rho * eta, beta * eta)
-    est, end = _solve_joint(covs, weights, solver_cfg, start)
-    return list(est.s_hat), est.converged, end
+    s_hat, _, run = _solve_joint(covs, weights, solver_cfg, start)
+    return s_hat, run
 
 
-def _estimate(method: str, covs, hp: tuple, solver_cfg: SolverConfig, start=None):
-    """One method's S_O estimates, one per layer, at hyperparameters hp;
-    whether every solve converged; and the end state to start the next
-    call from. start is such a state (None: cold, as the public solvers
-    start). GL and LVGL solve each layer on its own and keep one state per
-    layer."""
-    if method in ("GGL", "Joint"):
-        return _solve(method, covs, hp, solver_cfg, start)
-    runs = [_solve(method, ObservedCovariances((c,)), hp, solver_cfg, s)
-            for c, s in zip(covs.covs, start or repeat(None))]
-    estimates, converged, ends = zip(*runs)
-    return [s for layer in estimates for s in layer], all(converged), ends
+def _estimate(method: str, covs, hp: tuple, solver_cfg: SolverConfig, starts=None):
+    """One method's S_O estimates, one per layer, at hyperparameters hp, and
+    the AdmmRuns of its solves, to start the next call from. starts are
+    such runs (None: cold, as the public solvers start). GGL and Joint solve
+    the whole stack at once; GL and LVGL solve each layer on its own."""
+    parts = [covs] if method in ("GGL", "Joint") else \
+        [ObservedCovariances((c,)) for c in covs.covs]
+    solves = [_solve(method, part, hp, solver_cfg, start)
+              for part, start in zip(parts, starts or repeat(None))]
+    return [s for stack, _ in solves for s in stack], [run for _, run in solves]
 
 
 def _score_cell(cfg: ExperimentConfig, sweep_index: int, realization: int, jobs):
@@ -384,9 +382,9 @@ def _score_cell(cfg: ExperimentConfig, sweep_index: int, realization: int, jobs)
     solver_cfg = cfg.solver_config()
     errors, unconverged = [], 0
     for method, hp in jobs:
-        estimates, converged, _ = _estimate(method, covs, hp, solver_cfg)
+        estimates, runs = _estimate(method, covs, hp, solver_cfg)
         errors.append(mean_normalized_error(estimates, truths))
-        unconverged += not converged
+        unconverged += not all(run.converged for run in runs)
     return errors, unconverged
 
 
@@ -405,12 +403,12 @@ def _select_cell(cfg: ExperimentConfig, sweep_index: int, method: str):
     descending = sorted(range(len(cfg.rho_grid)), key=lambda r: -cfg.rho_grid[r])
     errors, unconverged = [None] * len(grid), 0
     for path in range(n_paths):
-        state = None
+        runs = None
         for r in descending:
             point = r * n_paths + path
-            estimates, converged, state = _estimate(method, covs, grid[point], solver_cfg, state)
+            estimates, runs = _estimate(method, covs, grid[point], solver_cfg, runs)
             errors[point] = mean_normalized_error(estimates, truths)
-            unconverged += not converged
+            unconverged += not all(run.converged for run in runs)
     return errors, unconverged
 
 

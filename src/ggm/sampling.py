@@ -31,7 +31,10 @@ class ObservedCovariances:
     ------
     InvalidInput
         If a matrix is not square, none is given, they differ in
-        dimension, they are 0 x 0, or one has a non-finite entry.
+        dimension, they are 0 x 0, or one has a non-finite entry or a
+        diagonal entry <= 0. A variable of zero variance makes every
+        solver's problem unbounded, because the diagonal of S is never
+        penalized.
     """
 
     covs: np.ndarray
@@ -47,6 +50,10 @@ class ObservedCovariances:
         for i, c in enumerate(mats):
             if not np.isfinite(c).all():
                 raise InvalidInput(f"covariance of layer {i} has non-finite entries")
+            low = np.flatnonzero(np.diagonal(c) <= 0)
+            if low.size:
+                raise InvalidInput(f"covariance of layer {i} has variance "
+                                   f"{c[low[0], low[0]]:g} <= 0 at variable {low[0]}")
         stack = np.array(mats)
         stack.flags.writeable = False
         object.__setattr__(self, "covs", stack)

@@ -18,12 +18,13 @@ symmetric_fused_prox (which also picks the fused path and its layer
 limit) on S and on P, and prox_psd_trace. The group graphical lasso
 (GGL) reuses the same kernels; it and the joint estimator share one
 over-relaxed, scaled-form ADMM loop, `_admm`, and differ only in their
-prox steps and linear maps. `_admm` can start from the state another
-solve ended in, which the private engine entry points `_solve_joint` and
-`_solve_ggl` pass through; the public solvers are those entry points
-started cold. The single-graph baselines are their one-layer cases: the
-graphical lasso (GL) is GGL at one layer with lambda2 = 0, and the
-latent-variable graphical lasso (LVGL) is the joint estimator at K = 1.
+prox steps and linear maps. `_admm` returns one AdmmRun per solve, its
+report and the end state a warm solve can start from; the private engine
+entry points `_solve_joint` and `_solve_ggl` return it with their
+estimates, and the public solvers are those entry points started cold.
+The single-graph baselines are their one-layer cases: the graphical
+lasso (GL) is GGL at one layer with lambda2 = 0, and the latent-variable
+graphical lasso (LVGL) is the joint estimator at K = 1.
 
 Every solver, both objectives and the reference oracle take the
 covariances as an ObservedCovariances or as a sequence of matrices,
@@ -142,14 +143,17 @@ class JointEstimate:
 
 
 @dataclass(frozen=True)
-class AdmmState:
-    """Where an ADMM solve ended: the consensus variables z, the scaled duals
-    (one per x-block) and the step sigma. A solve of another problem of the
-    same shape can start from it (see _admm)."""
+class AdmmRun:
+    """One ADMM solve: the consensus variables z, scaled duals (one per
+    x-block) and step sigma it ended in, which a solve of another problem
+    of the same shape can start from (see _admm), and its report."""
 
     z: tuple
     duals: tuple
     sigma: float
+    iterations: int
+    converged: bool
+    residual_history: np.ndarray   # (iterations, 2): relative primal/dual
 
 
 def _estimate_stack(a, shape, name):
@@ -280,17 +284,16 @@ def _admm(x_proxes, z_step, lift, z0, cfg, name, start=None):
     the size of the iterates and of the duals, both fall below the
     tolerances (Boyd et al., sec. 3.3); otherwise rebalances the step.
 
-    A cold solve starts at z0 with zero duals and step 1. start, an
-    AdmmState that another solve of a problem of the same shape ended in,
-    replaces all three: a path of problems that differ only in their
-    weights, each started where the previous one ended, is a warm-started
-    regularization path (Friedman, Hastie & Tibshirani, JSS 2010). start is
-    not modified.
+    A cold solve starts at z0 with zero duals and step 1. start, the
+    AdmmRun of a solve of a problem of the same shape, replaces all three
+    by the state that solve ended in: a path of problems that differ only
+    in their weights, each started where the previous one ended, is a
+    warm-started regularization path (Friedman, Hastie & Tibshirani, JSS
+    2010). start is not modified.
 
-    Returns (x, end, iterations, converged, residual_history): end is the
-    AdmmState the loop stopped in (z, the duals and sigma after the last
-    update, so a solve restarted from it continues this one), and the
-    history is an (iterations, 2) array of relative primal/dual residuals.
+    Returns (x, run): run is the AdmmRun of this solve, whose z, duals and
+    sigma are those after the last update, so a solve started from it
+    continues this one.
 
     Raises
     ------
@@ -327,7 +330,7 @@ def _admm(x_proxes, z_step, lift, z0, cfg, name, start=None):
             converged = True
             break
         sigma = _rebalance(sigma, duals, rp, rd)
-    return x, AdmmState(z, tuple(duals), sigma), it + 1, converged, np.asarray(history)
+    return x, AdmmRun(z, tuple(duals), sigma, it + 1, converged, np.asarray(history))
 
 
 def _floor_spectrum(s, p):
@@ -362,14 +365,16 @@ def solve_joint_hidden(covs, w: PenaltyWeights, cfg: SolverConfig = SolverConfig
         (see PenaltyWeights.tied): prox.symmetric_fused_prox builds the
         fused prox, which for non-uniform weights enumerates 2^K cuts.
     """
-    return _solve_joint(covs, w, cfg)[0]
+    observed = ObservedCovariances.of(covs)
+    s_hat, p_hat, run = _solve_joint(observed, w, cfg)
+    return JointEstimate(tuple(s_hat), tuple(p_hat), joint_objective(s_hat, p_hat, observed, w),
+                         run.iterations, run.converged, run.residual_history)
 
 
 def _solve_joint(covs, w: PenaltyWeights, cfg: SolverConfig, start=None):
-    """solve_joint_hidden, started from the AdmmState start (None: cold);
-    returns (estimate, the AdmmState the solve ended in)."""
-    observed = ObservedCovariances.of(covs)
-    cov_stack = observed.covs
+    """solve_joint_hidden's estimates, started from the AdmmRun start (None:
+    cold): (S stack, P stack, the AdmmRun of this solve)."""
+    cov_stack = ObservedCovariances.of(covs).covs
     k, o, _ = cov_stack.shape
     if w.n_layers != k:
         raise InvalidInput(f"weights describe {w.n_layers} layers but {k} covariances given")
@@ -384,19 +389,10 @@ def _solve_joint(covs, w: PenaltyWeights, cfg: SolverConfig, start=None):
         return (2.0 * ta + 3.0 * tb + tc + td) / 5.0, (-ta + tb + 2.0 * tc + 2.0 * td) / 5.0
 
     z0 = (np.broadcast_to(np.eye(o), (k, o, o)).copy(), np.zeros((k, o, o)))
-    x, end, iterations, converged, history = _admm(
-        x_proxes, z_step, lambda z: (z[0] - z[1], z[0], z[1], z[1]), z0, cfg, "joint solver",
-        start)
+    x, run = _admm(x_proxes, z_step, lambda z: (z[0] - z[1], z[0], z[1], z[1]), z0, cfg,
+                   "joint solver", start)
     p_hat = 0.5 * (x[2] + np.swapaxes(x[2], 1, 2))
-    s_hat = _floor_spectrum(x[1], p_hat)
-    return JointEstimate(
-        s_hat=tuple(s_hat),
-        p_hat=tuple(p_hat),
-        objective=joint_objective(s_hat, p_hat, observed, w),
-        iterations=iterations,
-        converged=converged,
-        residual_history=history,
-    ), end
+    return _floor_spectrum(x[1], p_hat), p_hat, run
 
 
 def solve_lvgl(cov, rho: float, beta: float, cfg: SolverConfig = SolverConfig()):
@@ -423,12 +419,12 @@ def solve_ggl(covs, lambda1: float, lambda2: float, cfg: SolverConfig = SolverCo
     (lambda2) on each off-diagonal entry; the prox of the group term is
     a blockwise group soft-threshold applied after the elementwise one.
     """
-    return _solve_ggl(covs, lambda1, lambda2, cfg)[0]
+    return list(_solve_ggl(covs, lambda1, lambda2, cfg)[0])
 
 
 def _solve_ggl(covs, lambda1: float, lambda2: float, cfg: SolverConfig, start=None):
-    """solve_ggl, started from the AdmmState start (None: cold); returns
-    (estimates, converged, the AdmmState the solve ended in)."""
+    """solve_ggl's estimates, started from the AdmmRun start (None: cold):
+    (S stack, the AdmmRun of this solve)."""
     if not (0 <= lambda1 < np.inf and 0 <= lambda2 < np.inf):
         raise InvalidInput("lambda1 and lambda2 must be finite and nonnegative")
     cov_stack = ObservedCovariances.of(covs).covs
@@ -445,9 +441,8 @@ def _solve_ggl(covs, lambda1: float, lambda2: float, cfg: SolverConfig, start=No
 
     z0 = (np.broadcast_to(np.eye(o), (k, o, o)).copy(),)
     x_proxes = (lambda v, sigma: prox_logdet(v, cov_stack, sigma),)
-    _, end, _, converged, _ = _admm(x_proxes, z_step, lambda z: z, z0, cfg,
-                                    "group graphical lasso", start)
-    return list(_floor_spectrum(end.z[0], None)), converged, end
+    _, run = _admm(x_proxes, z_step, lambda z: z, z0, cfg, "group graphical lasso", start)
+    return _floor_spectrum(run.z[0], None), run
 
 
 def solve_gl(cov, lam: float, cfg: SolverConfig = SolverConfig()):

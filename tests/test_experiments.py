@@ -231,9 +231,9 @@ def test_selection_walks_warm_rho_paths(monkeypatch):
     solve_joint = experiments._solve_joint
 
     def recording(covs, w, solver_cfg, start):
-        est, end = solve_joint(covs, w, solver_cfg, start)
-        solves.append((w.rho[0], start is None, est.iterations))
-        return est, end
+        s_hat, p_hat, run = solve_joint(covs, w, solver_cfg, start)
+        solves.append((w.rho[0], start is None, run.iterations))
+        return s_hat, p_hat, run
 
     monkeypatch.setattr(experiments, "_solve_joint", recording)
     errors, unconverged = experiments._select_cell(cfg, 0, "Joint")
@@ -254,6 +254,9 @@ def test_unconverged_solves_are_counted(tmp_path):
         assert (result.selection_invocations, result.mc_invocations) == (28, 16)
     body = open(write_manifest(runs[1], tmp_path / "capped.csv"), encoding="utf-8").read()
     assert "unconverged_method_invocations = selection 28, monte_carlo 16\n" in body
+    # criterion 9's config: every solve converges within its 300 iterations
+    result = run_experiment(tiny_tc1(base_seed=13))
+    assert (result.selection_unconverged, result.mc_unconverged) == (0, 0)
 
 
 def test_pool_is_capped_at_the_cpu_count(monkeypatch):
