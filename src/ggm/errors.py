@@ -22,12 +22,8 @@ class ConfigError(GgmError, ValueError):
 
 
 class ParseError(GgmError, ValueError):
-    """A text input could not be parsed; carries the offending location."""
+    """A text input could not be parsed; carries the offending line."""
 
-    def __init__(self, message, line=None, column=None):
+    def __init__(self, message, line=None):
         self.line = line
-        self.column = column
-        loc = ""
-        if line is not None:
-            loc = f" (line {line}" + (f", column {column}" if column is not None else "") + ")"
-        super().__init__(message + loc)
+        super().__init__(message + (f" (line {line})" if line is not None else ""))

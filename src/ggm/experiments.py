@@ -25,7 +25,6 @@ import numpy as np
 
 from .errors import ConfigError, InvalidInput
 from .graphs import (
-    Graph,
     MultiLayerFamily,
     block_view,
     choose_hidden,
@@ -54,6 +53,12 @@ EXPERIMENTS = ("tc1", "tc2", "tc3")
 _SUBSTITUTE_TAG = 980131   # seed tag for the synthetic 32-node stand-in
 # each experiment's sweep-axis field
 _SWEEP_AXES = {"tc1": "k_sweep", "tc2": "m_sweep", "tc3": "o_sweep"}
+# the keys each experiment does not read, which its config must leave at their defaults
+_UNREAD = {
+    "tc1": ("k", "m_sweep", "o_sweep", "data_files", "synthetic_substitute"),
+    "tc2": ("p", "m", "k_sweep", "o_sweep", "data_files", "synthetic_substitute"),
+    "tc3": ("n_hidden", "k_sweep", "m_sweep"),
+}
 # OpenBLAS's thread-count setter under the names of its plain, 64-bit-index
 # and numpy/scipy-wheel builds.
 _OPENBLAS_SETTERS = ("openblas_set_num_threads", "openblas_set_num_threads64_",
@@ -70,19 +75,14 @@ class ExperimentConfig:
 
     Every field is converted to its declared type on construction (see
     _parse_value), so a config built directly is checked like one read
-    from a file.
+    from a file. A field the experiment does not read (_UNREAD) must keep
+    its default.
     """
 
     experiment: str
     # graph family
     n: int = 20
     p: float = 0.15
-    neighbors: int = 4
-    rewire_p: float = 0.15
-    n_rewire: int = 0              # 0 -> ceil(10% of base edge count)
-    weight_lo: float = 0.5
-    weight_hi: float = 1.0
-    diag_margin: float = 0.1
     # hidden nodes / layers / samples
     n_hidden: int = 2
     k: int = 4
@@ -111,33 +111,31 @@ class ExperimentConfig:
             object.__setattr__(self, f.name, _parse_value(f.name, getattr(self, f.name)))
         if self.experiment not in EXPERIMENTS:
             raise ConfigError(f"experiment must be one of {EXPERIMENTS}, got {self.experiment!r}")
-        for name in ("n", "k", "m", "n_realizations", "max_iters", "workers", "neighbors"):
+        for f in fields(self):
+            if f.name in _UNREAD[self.experiment] and getattr(self, f.name) != f.default:
+                readers = " and ".join(e for e in EXPERIMENTS if f.name not in _UNREAD[e])
+                raise ConfigError(f"{self.experiment} does not read {f.name}: "
+                                  f"it is one of the {readers} keys")
+        for name in ("n", "k", "m", "n_realizations", "max_iters", "workers"):
             if getattr(self, name) < 1:
                 raise ConfigError(f"{name} must be positive")
-        if self.base_seed < 0 or self.n_hidden < 0 or self.n_rewire < 0:
-            raise ConfigError("base_seed, n_hidden and n_rewire must be nonnegative")
-        if self.n_hidden >= self.n:
+        if self.base_seed < 0 or self.n_hidden < 0:
+            raise ConfigError("base_seed and n_hidden must be nonnegative")
+        if self.n_hidden >= self.n and "n_hidden" not in _UNREAD[self.experiment]:
             raise ConfigError("n_hidden must be smaller than n")
-        for name in _SWEEP_AXES.values():
-            values = getattr(self, name)
-            if name == _SWEEP_AXES[self.experiment]:
-                if not values:
-                    raise ConfigError(f"{self.experiment} requires a nonempty {name}")
-                if any(v < 1 for v in values):
-                    raise ConfigError(f"{name} values must be positive")
-                if len(set(values)) != len(values):
-                    raise ConfigError(f"{name} repeats a value: {values}")
-            elif values:
-                raise ConfigError(f"{name} is not a sweep axis of {self.experiment}")
+        axis = _SWEEP_AXES[self.experiment]
+        if not self.sweep:
+            raise ConfigError(f"{self.experiment} requires a nonempty {axis}")
+        if any(v < 1 for v in self.sweep):
+            raise ConfigError(f"{axis} values must be positive")
+        if len(set(self.sweep)) != len(self.sweep):
+            raise ConfigError(f"{axis} repeats a value: {self.sweep}")
         if self.experiment == "tc3":
             if any(o > self.n for o in self.o_sweep):
                 raise ConfigError("o_sweep values cannot exceed n")
             if bool(self.data_files) == self.synthetic_substitute:
                 raise ConfigError("tc3 needs exactly one of data_files and "
                                   "synthetic_substitute = true")
-        elif self.data_files or self.synthetic_substitute:
-            raise ConfigError("data_files and synthetic_substitute are tc3 keys, "
-                              f"not {self.experiment} ones")
         for name in ("rho_grid", "beta_grid", "eta_grid"):
             values = getattr(self, name)
             if not values:
@@ -160,8 +158,8 @@ class ExperimentConfig:
 
 _DEFAULT_SWEEPS = {
     "tc1": {"k_sweep": (1, 2, 3, 4, 5, 6)},
-    "tc2": {"m_sweep": (50, 100, 200, 350, 500), "k": 4},
-    "tc3": {"o_sweep": (25, 26, 27, 28, 29, 30, 31), "n": 32, "k": 4},
+    "tc2": {"m_sweep": (50, 100, 200, 350, 500)},
+    "tc3": {"o_sweep": (25, 26, 27, 28, 29, 30, 31), "n": 32},
 }
 
 
@@ -283,18 +281,15 @@ def derive_cell_seeds(base_seed: int, sweep_index: int, realization: int):
     return {"graph": graph, "family": family, "prec": prec, "hidden": hidden, "sample": sample}
 
 
-def _auto_rewire(cfg: ExperimentConfig, base: Graph) -> int:
-    if cfg.n_rewire:
-        return cfg.n_rewire
-    return math.ceil(0.1 * base.n_edges)
-
-
 def _layer_graphs(cfg: ExperimentConfig, n_layers: int, seeds) -> list:
+    """A base graph and n_layers - 1 variants that each move ceil(10 %) of its
+    edges; tc2's base is Watts-Strogatz with 4 ring neighbors and rewiring
+    probability 0.15, the others' Erdos-Renyi, all as in the paper."""
     if cfg.experiment == "tc2":
-        base = gen_small_world(cfg.n, cfg.neighbors, cfg.rewire_p, seeds["graph"])
+        base = gen_small_world(cfg.n, 4, 0.15, seeds["graph"])
     else:
         base = gen_erdos_renyi(cfg.n, cfg.p, seeds["graph"])
-    return gen_rewired_family(base, n_layers, _auto_rewire(cfg, base), seeds["family"])
+    return gen_rewired_family(base, n_layers, math.ceil(0.1 * base.n_edges), seeds["family"])
 
 
 def substitute_layers(cfg: ExperimentConfig) -> list:
@@ -325,10 +320,8 @@ def realize_cell(cfg: ExperimentConfig, sweep_index: int, realization: int):
         graphs, m, n_hidden = _layer_graphs(cfg, cfg.k, seeds), value, cfg.n_hidden
     else:
         graphs, m, n_hidden = load_tc3_layers(cfg), cfg.m, cfg.n - value
-    precisions = [
-        to_precision(g, (cfg.weight_lo, cfg.weight_hi), cfg.diag_margin, seeds["prec"] + i)
-        for i, g in enumerate(graphs)
-    ]
+    # edge weights in [0.5, 1.0] and a diagonal margin of 0.1: the paper's, to_precision's defaults
+    precisions = [to_precision(g, rng_seed=seeds["prec"] + i) for i, g in enumerate(graphs)]
     partition = choose_hidden(cfg.n, n_hidden, seeds["hidden"])
     family = MultiLayerFamily(tuple(precisions), partition)
     covs = sample_family(family, m, seeds["sample"])

@@ -31,10 +31,11 @@ class ObservedCovariances:
     ------
     InvalidInput
         If a matrix is not square, none is given, they differ in
-        dimension, they are 0 x 0, or one has a non-finite entry or a
-        diagonal entry <= 0. A variable of zero variance makes every
-        solver's problem unbounded, because the diagonal of S is never
-        penalized.
+        dimension, they are 0 x 0, or one has a non-finite entry, a
+        diagonal entry <= 0 or an eigenvalue below -1e-10 times its
+        largest. A variable of zero variance, or a direction of negative
+        variance, makes every solver's problem unbounded, because the
+        diagonal of S is never penalized.
     """
 
     covs: np.ndarray
@@ -55,6 +56,10 @@ class ObservedCovariances:
                 raise InvalidInput(f"covariance of layer {i} has variance "
                                    f"{c[low[0], low[0]]:g} <= 0 at variable {low[0]}")
         stack = np.array(mats)
+        for i, lam in enumerate(np.linalg.eigvalsh(stack)):   # ascending per layer
+            if lam[0] < -1e-10 * lam[-1]:
+                raise InvalidInput(f"covariance of layer {i} is not positive semidefinite: "
+                                   f"its smallest eigenvalue is {lam[0]:g}")
         stack.flags.writeable = False
         object.__setattr__(self, "covs", stack)
 

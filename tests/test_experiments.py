@@ -1,4 +1,5 @@
 import ctypes
+import math
 import os
 import re
 from concurrent.futures import ProcessPoolExecutor
@@ -123,6 +124,76 @@ def test_config_rejections(tmp_path):
     path.write_text("n = twenty\n", encoding="utf-8")
     with pytest.raises(ConfigError, match="n = 'twenty'"):
         build_config("tc1", parse_config_file(path))
+
+
+_REMOVED_KEYS = ("neighbors", "rewire_p", "n_rewire", "weight_lo", "weight_hi", "diag_margin")
+
+
+def test_removed_generation_keys_are_unknown(tmp_path, capsys):
+    # the paper's fixed graph settings are constants, not config keys
+    path = tmp_path / "cfg.txt"
+    for key in _REMOVED_KEYS:
+        path.write_text(f"{key} = 1\n", encoding="utf-8")
+        with pytest.raises(ConfigError, match=f"unknown config key '{key}'"):
+            build_config("tc2", parse_config_file(path))
+        with pytest.raises(ConfigError, match=f"unknown config key '{key}'"):
+            build_config("tc2", {}, **{key: 1})
+        flag = "--" + key.replace("_", "-")
+        assert main(["run", "tc2", "--out", str(tmp_path / "x.csv"), flag, "1"]) == 2
+        assert "unknown config key" in capsys.readouterr().err
+
+
+def test_keys_an_experiment_does_not_read_are_rejected():
+    for experiment, bad, readers in (("tc1", {"k": 7}, "tc2 and tc3"),
+                                     ("tc2", {"m": 100}, "tc1 and tc3"),
+                                     ("tc2", {"p": 0.3}, "tc1 and tc3"),
+                                     ("tc3", {"n_hidden": 3, "synthetic_substitute": True},
+                                      "tc1 and tc2")):
+        name = next(iter(bad))
+        with pytest.raises(ConfigError, match=f"{experiment} does not read {name}: "
+                                              f"it is one of the {readers} keys"):
+            build_config(experiment, {}, **bad)
+    # a config built directly is checked the same way
+    with pytest.raises(ConfigError, match="tc1 does not read k"):
+        ExperimentConfig("tc1", k_sweep=(1,), k=7)
+    # a key left at its default passes, wherever it comes from
+    assert build_config("tc1", {}, k=4).k == 4
+    assert build_config("tc2", {}, m="200", p=0.15).m == 200
+    # tc3 hides n - O nodes, so its unread n_hidden is not held against a small n
+    assert build_config("tc3", {}, n=2, o_sweep=(1, 2), synthetic_substitute=True).n == 2
+
+
+def test_unread_table_covers_only_fields_and_spares_each_field_once():
+    names = {f.name for f in fields(ExperimentConfig)}
+    assert set(experiments._UNREAD) == set(experiments.EXPERIMENTS)
+    assert all(set(keys) <= names for keys in experiments._UNREAD.values())
+    # every field is read by at least one experiment
+    assert not set.intersection(*(set(keys) for keys in experiments._UNREAD.values()))
+    assert len(names) == 20
+
+
+def test_generation_settings_are_the_papers():
+    # tc2: Watts-Strogatz base with 4 ring neighbors; every layer moves
+    # ceil(10 %) of the base edges; edge weights lie in [0.5, 1.0]
+    for experiment in ("tc1", "tc2"):
+        cfg = build_config(experiment, {}, n=30, base_seed=2)
+        for si in range(2):
+            seeds = derive_cell_seeds(cfg.base_seed, si, 0)
+            graphs = experiments._layer_graphs(cfg, 4, seeds)
+            base = graphs[0]
+            if experiment == "tc2":
+                assert base.n_edges == cfg.n * 4 // 2
+            moved = math.ceil(0.1 * base.n_edges)
+            for variant in graphs[1:]:
+                assert variant.n_edges == base.n_edges
+                assert len(base.edge_set() - variant.edge_set()) == moved
+                assert np.count_nonzero(variant.adjacency != base.adjacency) <= 4 * moved
+            _, truths = realize_cell(cfg, si, 0)
+            for truth in truths:
+                off = truth[~np.eye(len(truth), dtype=bool)]
+                assert np.all((off == 0) | ((off >= -1.0) & (off <= -0.5)))
+                assert np.count_nonzero(off) > 0
+                assert np.linalg.eigvalsh(truth).min() >= 0.1 - 1e-12
 
 
 def test_readme_lists_every_config_key():

@@ -115,9 +115,12 @@ def test_sample_family_shapes_and_seeds():
 
 def test_observed_covariances_validation():
     for bad in ((np.eye(2), np.eye(3)), (), (np.ones((2, 3)),), (np.zeros((0, 0)),),
-                (np.eye(2), np.full((2, 2), np.nan))):
+                (np.eye(2), np.full((2, 2), np.nan)), (np.array([[1.0, 2.0], [2.0, 1.0]]),)):
         with pytest.raises(InvalidInput):
             ObservedCovariances(bad)
+    # a singular sample covariance (fewer samples than variables) is PSD up to rounding
+    x = np.random.default_rng(3).standard_normal((12, 4))
+    assert ObservedCovariances((x @ x.T / 4,)).dim == 12
     # one read-only (K, o, o) float stack of the symmetric parts
     asym = np.array([[1.0, 0.25], [0.75, 1.0]])
     covs = ObservedCovariances((np.eye(2), asym, np.eye(2, dtype=int)))

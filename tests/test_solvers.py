@@ -205,6 +205,23 @@ def test_zero_variance_coordinate_fails_fast(tmp_path, capsys):
     assert "variance 0 <= 0 at variable 2" in capsys.readouterr().err
 
 
+def test_non_psd_covariance_fails_fast(tmp_path, capsys):
+    # Along S = I + t v v^T, v the eigenvector of C's eigenvalue -1,
+    # tr(CS) - log det S + rho |S|_1 falls without bound for rho < 1.
+    from ggm.cli import main
+    from ggm.io import write_matrix_csv
+
+    cov = np.array([[1.0, 2.0], [2.0, 1.0]])
+    with pytest.raises(InvalidInput, match="layer 0 is not positive semidefinite"):
+        solve_gl(cov, 0.1)
+    with pytest.raises(InvalidInput, match="layer 1 is not positive semidefinite"):
+        solve_joint_hidden([np.eye(2), cov], PenaltyWeights.tied(2, 0.1, 0.1))
+    path = tmp_path / "cov.csv"
+    write_matrix_csv(cov, path)
+    assert main(["solve", "--covs", str(path), "--out", str(tmp_path / "est")]) == 2
+    assert "smallest eigenvalue is -1" in capsys.readouterr().err
+
+
 _NONFINITE_SETTINGS = {
     "rho nan": lambda: PenaltyWeights.tied(2, np.nan, 0.1),
     "beta inf": lambda: PenaltyWeights.tied(2, 0.1, np.inf),
