@@ -5,11 +5,12 @@ realization, and CSV emission of the per-sweep mean errors.
 Every cell (sweep value, realization) derives its seeds from
 (base_seed, sweep index, realization index) only, so all four methods
 see identical data. Selection is one task per sweep value x method on
-the held-out cell, run on the same process pool as the Monte Carlo
-cells and reduced in grid order in the parent, so reruns are
-byte-identical and the result does not depend on the worker count. A
-selection task walks its grid as warm-started rho paths; every Monte
-Carlo solve starts cold, so it equals the public solver's output.
+the held-out cell. Those tasks and the Monte Carlo cells run in one pool
+of `workers` processes, each on one BLAS thread, and the parent reduces
+the selection in grid order, so reruns are byte-identical and no result
+depends on the worker count. A selection task walks its grid as
+warm-started rho paths; every Monte Carlo solve starts cold, so it
+equals the public solver's output.
 """
 import ctypes
 import math
@@ -17,7 +18,6 @@ import os
 import time
 import typing
 from concurrent.futures import ProcessPoolExecutor
-from contextlib import nullcontext
 from dataclasses import dataclass, fields
 from itertools import repeat
 
@@ -35,7 +35,7 @@ from .graphs import (
 )
 from .io import load_multilayer
 from .metrics import mean_normalized_error
-from .sampling import ObservedCovariances, sample_family
+from .sampling import sample_family
 from .solvers import (  # noqa: F401  (perfbench/spans.py wraps the public solvers here)
     PenaltyWeights,
     SolverConfig,
@@ -136,6 +136,8 @@ class ExperimentConfig:
             if bool(self.data_files) == self.synthetic_substitute:
                 raise ConfigError("tc3 needs exactly one of data_files and "
                                   "synthetic_substitute = true")
+            if self.data_files and self.p != ExperimentConfig.p:
+                raise ConfigError("tc3 does not read p with data_files: the files give its graphs")
         for name in ("rho_grid", "beta_grid", "eta_grid"):
             values = getattr(self, name)
             if not values:
@@ -346,23 +348,22 @@ def _grid(cfg: ExperimentConfig, method: str) -> list:
 
 
 def _solve(method: str, covs, hp: tuple, solver_cfg: SolverConfig, start):
-    """One solve of a method on the ObservedCovariances covs, from the
+    """One solve of a method on the checked covariance stack covs, from the
     AdmmRun start (None: cold): (S_O stack, the AdmmRun of this solve)."""
     if method in ("GL", "GGL"):   # GL is GGL at one layer, lambda2 = 0
         return _solve_ggl(covs, hp[0], hp[1] if method == "GGL" else 0.0, solver_cfg, start)
     rho, beta, eta = hp if method == "Joint" else (*hp, 0.0)   # LVGL is Joint at K = 1
-    weights = PenaltyWeights.tied(covs.n_layers, rho, beta, rho * eta, beta * eta)
+    weights = PenaltyWeights.tied(len(covs), rho, beta, rho * eta, beta * eta)
     s_hat, _, run = _solve_joint(covs, weights, solver_cfg, start)
     return s_hat, run
 
 
 def _estimate(method: str, covs, hp: tuple, solver_cfg: SolverConfig, starts=None):
-    """One method's S_O estimates, one per layer, at hyperparameters hp, and
-    the AdmmRuns of its solves, to start the next call from. starts are
-    such runs (None: cold, as the public solvers start). GGL and Joint solve
-    the whole stack at once; GL and LVGL solve each layer on its own."""
-    parts = [covs] if method in ("GGL", "Joint") else \
-        [ObservedCovariances((c,)) for c in covs.covs]
+    """One method's S_O estimates on the ObservedCovariances covs, one per
+    layer, at hyperparameters hp, and the AdmmRuns of its solves, to start
+    the next call from. starts are such runs (None: cold, as the public
+    solvers start). GGL and Joint solve the stack, GL and LVGL each layer."""
+    parts = [covs.covs] if method in ("GGL", "Joint") else [c[None] for c in covs.covs]
     solves = [_solve(method, part, hp, solver_cfg, start)
               for part, start in zip(parts, starts or repeat(None))]
     return [s for stack, _ in solves for s in stack], [run for _, run in solves]
@@ -407,9 +408,9 @@ def _select_cell(cfg: ExperimentConfig, sweep_index: int, method: str):
 
 def _one_blas_thread():
     """Pool initializer: run this worker's OpenBLAS on one thread, unless
-    OPENBLAS_NUM_THREADS sets a count. The pool already fills the cores, and
-    workers forked from a parent with a threaded BLAS oversubscribe them: a
-    tc3 run at O = 32 took four times the wall time on 2 cores."""
+    OPENBLAS_NUM_THREADS sets a count. A cell then gets the same bits at any
+    worker count, and the workers do not oversubscribe the cores: forked with
+    a threaded BLAS, a tc3 run at O = 32 took 4x the wall time on 2 cores."""
     if "OPENBLAS_NUM_THREADS" in os.environ:
         return
     try:
@@ -445,17 +446,15 @@ def run_experiment(cfg: ExperimentConfig) -> RunResult:
     """Run the configured sweep: per sweep value, select hyperparameters on
     the held-out realization (index n_realizations, never a Monte Carlo
     one), then score all methods on every Monte Carlo realization. Both
-    phases map one task function over the same process pool (the builtin
-    map when workers = 1), of at most one process per CPU."""
+    phases map one task function over the same pool of cfg.workers
+    processes, at most one per CPU, each on one BLAS thread."""
     start = time.time()
     sweep_indices = range(len(cfg.sweep))
     with ProcessPoolExecutor(min(cfg.workers, os.cpu_count() or 1),
-                             initializer=_one_blas_thread) \
-            if cfg.workers > 1 else nullcontext() as pool:
-        mapper = pool.map if pool else map
+                             initializer=_one_blas_thread) as pool:
         # Joint's grid, then LVGL's, is most of the selection time: queue them first.
         selection = [(si, method) for method in reversed(METHODS) for si in sweep_indices]
-        held_out = list(mapper(_select_cell, repeat(cfg), *zip(*selection)))
+        held_out = list(pool.map(_select_cell, repeat(cfg), *zip(*selection)))
         by_cell = {cell: errors for cell, (errors, _) in zip(selection, held_out)}
         selected = {cfg.sweep[si]: select_params(
             cfg, {method: by_cell[si, method] for method in METHODS}) for si in sweep_indices}
@@ -464,7 +463,7 @@ def run_experiment(cfg: ExperimentConfig) -> RunResult:
         cells = [(si, r, [(method, selected[cfg.sweep[si]].hyperparameters(method))
                           for method in METHODS])
                  for si in sweep_indices for r in range(cfg.n_realizations)]
-        scores = list(mapper(_score_cell, repeat(cfg), *zip(*cells)))
+        scores = list(pool.map(_score_cell, repeat(cfg), *zip(*cells)))
 
     raw = np.empty((len(cfg.sweep), len(METHODS), cfg.n_realizations))
     for (si, r, _), (errors, _) in zip(cells, scores):

@@ -10,7 +10,6 @@ portable across platforms.
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.linalg
 
 from .errors import InvalidInput, NumericalError
 from .graphs import BlockPartition, MultiLayerFamily, PrecisionGraph
@@ -82,7 +81,8 @@ def sample_gmrf(s, m: int, rng_seed: int) -> np.ndarray:
 
     ``s`` is a PrecisionGraph or a PD matrix. Columns are generated by
     solving L^T x = z with L the Cholesky factor of S and z standard
-    normal, so cov(x) = (L L^T)^{-1} = S^{-1}.
+    normal, so cov(x) = (L L^T)^{-1} = S^{-1}. np.linalg.solve's LU of the
+    upper-triangular L^T neither pivots nor eliminates: it back-substitutes.
     """
     if m < 1:
         raise InvalidInput(f"m must be >= 1, got {m}")
@@ -93,7 +93,7 @@ def sample_gmrf(s, m: int, rng_seed: int) -> np.ndarray:
         raise NumericalError(f"precision matrix is not positive definite: {exc}") from exc
     rng = np.random.Generator(np.random.PCG64(np.random.SeedSequence(rng_seed)))
     z = rng.standard_normal((prec.shape[0], m))
-    return scipy.linalg.solve_triangular(chol.T, z, lower=False)
+    return np.linalg.solve(chol.T, z)
 
 
 def observed_sample_cov(x: np.ndarray, part: BlockPartition) -> np.ndarray:

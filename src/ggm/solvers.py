@@ -26,10 +26,10 @@ The single-graph baselines are their one-layer cases: the graphical
 lasso (GL) is GGL at one layer with lambda2 = 0, and the latent-variable
 graphical lasso (LVGL) is the joint estimator at K = 1.
 
-Every solver, both objectives and the reference oracle take the
-covariances as an ObservedCovariances or as a sequence of matrices,
-which they pass through ObservedCovariances.of: the one place that
-checks them and stacks them as (K, o, o).
+Every public solver, both objectives and the reference oracle pass the
+covariances (an ObservedCovariances or a sequence of matrices) through
+ObservedCovariances.of, the one place that checks them and stacks them
+as (K, o, o); the engine entry points take that checked stack.
 
 A slow projected-subgradient reference solver for tiny instances is
 provided as an independent check of the ADMM solutions.
@@ -366,15 +366,15 @@ def solve_joint_hidden(covs, w: PenaltyWeights, cfg: SolverConfig = SolverConfig
         fused prox, which for non-uniform weights enumerates 2^K cuts.
     """
     observed = ObservedCovariances.of(covs)
-    s_hat, p_hat, run = _solve_joint(observed, w, cfg)
+    s_hat, p_hat, run = _solve_joint(observed.covs, w, cfg)
     return JointEstimate(tuple(s_hat), tuple(p_hat), joint_objective(s_hat, p_hat, observed, w),
                          run.iterations, run.converged, run.residual_history)
 
 
-def _solve_joint(covs, w: PenaltyWeights, cfg: SolverConfig, start=None):
-    """solve_joint_hidden's estimates, started from the AdmmRun start (None:
-    cold): (S stack, P stack, the AdmmRun of this solve)."""
-    cov_stack = ObservedCovariances.of(covs).covs
+def _solve_joint(cov_stack, w: PenaltyWeights, cfg: SolverConfig, start=None):
+    """solve_joint_hidden's estimates on a checked, read-only (K, o, o) stack
+    (ObservedCovariances.covs or a slice of it), started from the AdmmRun
+    start (None: cold): (S stack, P stack, the AdmmRun of this solve)."""
     k, o, _ = cov_stack.shape
     if w.n_layers != k:
         raise InvalidInput(f"weights describe {w.n_layers} layers but {k} covariances given")
@@ -419,15 +419,15 @@ def solve_ggl(covs, lambda1: float, lambda2: float, cfg: SolverConfig = SolverCo
     (lambda2) on each off-diagonal entry; the prox of the group term is
     a blockwise group soft-threshold applied after the elementwise one.
     """
-    return list(_solve_ggl(covs, lambda1, lambda2, cfg)[0])
+    return list(_solve_ggl(ObservedCovariances.of(covs).covs, lambda1, lambda2, cfg)[0])
 
 
-def _solve_ggl(covs, lambda1: float, lambda2: float, cfg: SolverConfig, start=None):
-    """solve_ggl's estimates, started from the AdmmRun start (None: cold):
-    (S stack, the AdmmRun of this solve)."""
+def _solve_ggl(cov_stack, lambda1: float, lambda2: float, cfg: SolverConfig, start=None):
+    """solve_ggl's estimates on a checked, read-only (K, o, o) stack
+    (ObservedCovariances.covs or a slice of it), started from the AdmmRun
+    start (None: cold): (S stack, the AdmmRun of this solve)."""
     if not (0 <= lambda1 < np.inf and 0 <= lambda2 < np.inf):
         raise InvalidInput("lambda1 and lambda2 must be finite and nonnegative")
-    cov_stack = ObservedCovariances.of(covs).covs
     k, o, _ = cov_stack.shape
     diag = np.eye(o, dtype=bool)
 

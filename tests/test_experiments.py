@@ -153,6 +153,9 @@ def test_keys_an_experiment_does_not_read_are_rejected():
         with pytest.raises(ConfigError, match=f"{experiment} does not read {name}: "
                                               f"it is one of the {readers} keys"):
             build_config(experiment, {}, **bad)
+    # tc3 draws its graphs from p only for the synthetic stand-in
+    with pytest.raises(ConfigError, match="tc3 does not read p with data_files"):
+        build_config("tc3", {}, n=6, k=2, o_sweep=(5,), data_files="a.net,b.net", p=0.9)
     # a config built directly is checked the same way
     with pytest.raises(ConfigError, match="tc1 does not read k"):
         ExperimentConfig("tc1", k_sweep=(1,), k=7)
@@ -376,6 +379,17 @@ def _openblas_thread_counts():
                "scipy_openblas_get_num_threads", "scipy_openblas_get_num_threads64_")
     return [getattr(lib, name)() for lib in map(ctypes.CDLL, paths)
             for name in getters if hasattr(lib, name)]
+
+
+def test_raw_errors_do_not_depend_on_the_worker_count_at_100_observed_nodes():
+    # at 100 observed nodes OpenBLAS threads the sample covariance's product
+    # when it may, so a cell solved on a threaded BLAS gets other bits
+    if not os.path.exists("/proc/self/maps") or max(_openblas_thread_counts(), default=1) < 2:
+        pytest.skip("needs an OpenBLAS that runs more than one thread in this process")
+    runs = [run_experiment(build_config(
+        "tc1", {}, n=102, p=0.03, k_sweep=(2,), n_realizations=1, rho_grid=(0.1,),
+        beta_grid=(0.3,), eta_grid=(1.0,), max_iters=3, workers=workers)) for workers in (1, 2)]
+    assert np.array_equal(runs[0].raw_errors, runs[1].raw_errors)
 
 
 def test_pool_workers_run_one_openblas_thread(monkeypatch):

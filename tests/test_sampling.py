@@ -1,5 +1,10 @@
+import os
+import subprocess
+import sys
+
 import numpy as np
 import pytest
+import scipy.linalg
 
 from ggm.errors import InvalidInput, NumericalError
 from ggm.graphs import (
@@ -40,6 +45,16 @@ def test_sample_deterministic():
     assert np.array_equal(a, b)
     c = sample_gmrf(pg, 50, 124)
     assert not np.array_equal(a, c)
+
+
+def test_sample_is_scipys_triangular_solve_bit_for_bit():
+    # np.linalg.solve's LU of the upper-triangular Cholesky factor neither
+    # pivots nor eliminates, so it is the same back substitution
+    for n, m in ((4, 50), (30, 200), (102, 500)):
+        pg = to_precision(gen_erdos_renyi(n, 0.15, n), rng_seed=n)
+        z = np.random.Generator(np.random.PCG64(np.random.SeedSequence(n))).standard_normal((n, m))
+        expected = scipy.linalg.solve_triangular(np.linalg.cholesky(pg.precision).T, z, lower=False)
+        assert np.array_equal(sample_gmrf(pg, m, n), expected)
 
 
 def test_sample_rejects_bad_inputs():
@@ -132,3 +147,11 @@ def test_observed_covariances_validation():
         covs.covs[0, 0, 0] = 2.0
     assert ObservedCovariances.of(covs) is covs
     assert np.array_equal(ObservedCovariances.of(list(covs.covs)).covs, covs.covs)
+
+
+def test_importing_ggm_loads_no_scipy():
+    # the package runs on NumPy alone; only the tests' oracles use SciPy
+    code = "import sys, ggm; print('scipy' in sys.modules)"
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                         check=True, env={**os.environ, "PYTHONPATH": os.pathsep.join(sys.path)})
+    assert out.stdout.strip() == "False"

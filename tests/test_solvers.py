@@ -337,13 +337,13 @@ def test_joint_restarted_from_its_end_state_stops_at_once(tol):
     covs, _ = realize_cell(cfg, 0, 12)
     w = PenaltyWeights.tied(2, 0.1, 0.2, 0.05, 0.1)
     solver_cfg = SolverConfig(max_iters=2000, tol_primal=tol, tol_dual=tol)
-    s_hat, p_hat, end = solvers._solve_joint(covs, w, solver_cfg)
+    s_hat, p_hat, end = solvers._solve_joint(covs.covs, w, solver_cfg)
     public = solve_joint_hidden(covs, w, solver_cfg)
     assert end.converged and end.iterations > 10
     assert all(np.array_equal(a, b) for a, b in zip((*s_hat, *p_hat),
                                                     public.s_hat + public.p_hat))
     duals = [u.copy() for u in end.duals]
-    _, _, again = solvers._solve_joint(covs, w, solver_cfg, end)
+    _, _, again = solvers._solve_joint(covs.covs, w, solver_cfg, end)
     assert again.converged and again.iterations == 1
     assert all(np.array_equal(u, v) for u, v in zip(end.duals, duals))   # start is not modified
 
