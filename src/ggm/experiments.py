@@ -9,8 +9,10 @@ the held-out cell. Those tasks and the Monte Carlo cells run in one pool
 of `workers` processes, each on one BLAS thread, and the parent reduces
 the selection in grid order, so reruns are byte-identical and no result
 depends on the worker count. A selection task walks its grid as
-warm-started rho paths; every Monte Carlo solve starts cold, so it
-equals the public solver's output.
+warm-started rho paths, all paths of a rho step solved as one batch of
+problems; every Monte Carlo solve starts cold, so it equals the public
+solver's output. A batch's problems get the bits of their solves alone,
+and batches are capped in memory (_BATCH_BYTES).
 """
 import ctypes
 import math
@@ -59,6 +61,11 @@ _UNREAD = {
     "tc2": ("p", "m", "k_sweep", "o_sweep", "data_files", "synthetic_substitute"),
     "tc3": ("n_hidden", "k_sweep", "m_sweep"),
 }
+# Bound on the bytes of one (B, K, o, o) stack of a batched solve: a task's
+# problems are solved in batches of at most this size. At 2**20 a selection
+# task of the tc1, tc2 or tc3 preset is one batch per rho step (Joint at
+# K = 6, O = 18: 15 problems, 0.23 MiB; at K = 4, O = 31: 0.44 MiB).
+_BATCH_BYTES = 2 ** 20
 # OpenBLAS's thread-count setter under the names of its plain, 64-bit-index
 # and numpy/scipy-wheel builds.
 _OPENBLAS_SETTERS = ("openblas_set_num_threads", "openblas_set_num_threads64_",
@@ -266,6 +273,9 @@ class RunResult:
     # method invocations with a solve that stopped at max_iters unconverged
     mc_unconverged: int
     selection_unconverged: int
+    # ADMM iterations summed over every solve of the phase
+    mc_iterations: int
+    selection_iterations: int
     runtime_seconds: float
     selection_seconds: float
     monte_carlo_seconds: float
@@ -347,63 +357,92 @@ def _grid(cfg: ExperimentConfig, method: str) -> list:
     }[method]
 
 
-def _solve(method: str, covs, hp: tuple, solver_cfg: SolverConfig, start):
-    """One solve of a method on the checked covariance stack covs, from the
-    AdmmRun start (None: cold): (S_O stack, the AdmmRun of this solve)."""
+def _solve(method: str, covs, hps, solver_cfg: SolverConfig, starts):
+    """One batched solve of a method: problem p at the hyperparameters
+    hps[p], started from starts[p] (None: cold). covs is the checked
+    (K, o, o) stack that every problem shares (GGL, Joint) or a (B, 1, o,
+    o) stack of one layer per problem (GL, LVGL). Returns (S_O stacks,
+    the AdmmRun of each problem)."""
     if method in ("GL", "GGL"):   # GL is GGL at one layer, lambda2 = 0
-        return _solve_ggl(covs, hp[0], hp[1] if method == "GGL" else 0.0, solver_cfg, start)
-    rho, beta, eta = hp if method == "Joint" else (*hp, 0.0)   # LVGL is Joint at K = 1
-    weights = PenaltyWeights.tied(len(covs), rho, beta, rho * eta, beta * eta)
-    s_hat, _, run = _solve_joint(covs, weights, solver_cfg, start)
-    return s_hat, run
+        lambda2 = [hp[1] for hp in hps] if method == "GGL" else np.zeros(len(hps))
+        return _solve_ggl(covs, [hp[0] for hp in hps], lambda2, solver_cfg, starts)
+    weights = []
+    for hp in hps:
+        rho, beta, eta = hp if method == "Joint" else (*hp, 0.0)   # LVGL is Joint at K = 1
+        weights.append(PenaltyWeights.tied(covs.shape[-3], rho, beta, rho * eta, beta * eta))
+    s_hat, _, runs = _solve_joint(covs, weights, solver_cfg, starts)
+    return s_hat, runs
 
 
-def _estimate(method: str, covs, hp: tuple, solver_cfg: SolverConfig, starts=None):
-    """One method's S_O estimates on the ObservedCovariances covs, one per
-    layer, at hyperparameters hp, and the AdmmRuns of its solves, to start
-    the next call from. starts are such runs (None: cold, as the public
-    solvers start). GGL and Joint solve the stack, GL and LVGL each layer."""
-    parts = [covs.covs] if method in ("GGL", "Joint") else [c[None] for c in covs.covs]
-    solves = [_solve(method, part, hp, solver_cfg, start)
-              for part, start in zip(parts, starts or repeat(None))]
-    return [s for stack, _ in solves for s in stack], [run for _, run in solves]
+def _estimate(method: str, covs, hps, solver_cfg: SolverConfig, starts=None):
+    """One method's S_O estimates on the ObservedCovariances covs at each
+    hyperparameter tuple of hps, one list of K layers per tuple, and the
+    AdmmRuns of each tuple's solves, to start the next call from. starts
+    are such runs (None: cold, as the public solvers start).
+
+    GGL and Joint solve the stack once per tuple, GL and LVGL each layer.
+    All these problems are solved together, in batches whose (B, K, o, o)
+    stacks stay under _BATCH_BYTES; each problem's bits are those of its
+    solve alone, so the result does not depend on the split."""
+    stack = covs.covs
+    per_layer = method in ("GL", "LVGL")
+    layers = range(len(stack)) if per_layer else (None,)
+    problems = [(hp, layer) for hp in hps for layer in layers]
+    flat_starts = [run for runs in starts for run in runs] if starts else [None] * len(problems)
+    size = max(1, _BATCH_BYTES // (stack[0].nbytes if per_layer else stack.nbytes))
+    estimates, runs = [], []
+    for lo in range(0, len(problems), size):
+        batch = problems[lo:lo + size]
+        part = stack[[layer for _, layer in batch]][:, None] if per_layer else stack
+        s_hat, batch_runs = _solve(method, part, [hp for hp, _ in batch], solver_cfg,
+                                   flat_starts[lo:lo + size])
+        estimates.extend(s_hat)
+        runs.extend(batch_runs)
+    group = len(layers)
+    return ([[s for layer_stack in estimates[i:i + group] for s in layer_stack]
+             for i in range(0, len(problems), group)],
+            [tuple(runs[i:i + group]) for i in range(0, len(problems), group)])
 
 
 def _score_cell(cfg: ExperimentConfig, sweep_index: int, realization: int, jobs):
     """Realize one Monte Carlo cell once and solve each (method, hp) job
-    cold: (the error of each job, the number of jobs that did not converge)."""
+    cold: (the error of each job, the number of jobs that did not converge,
+    the ADMM iterations of all their solves)."""
     covs, truths = realize_cell(cfg, sweep_index, realization)
     solver_cfg = cfg.solver_config()
-    errors, unconverged = [], 0
+    errors, unconverged, iterations = [], 0, 0
     for method, hp in jobs:
-        estimates, runs = _estimate(method, covs, hp, solver_cfg)
+        (estimates,), (runs,) = _estimate(method, covs, [hp], solver_cfg)
         errors.append(mean_normalized_error(estimates, truths))
         unconverged += not all(run.converged for run in runs)
-    return errors, unconverged
+        iterations += sum(run.iterations for run in runs)
+    return errors, unconverged, iterations
 
 
 def _select_cell(cfg: ExperimentConfig, sweep_index: int, method: str):
     """One method's held-out errors over _grid(cfg, method), in grid order,
-    and the number of grid points that did not converge.
+    the number of grid points that did not converge, and the ADMM
+    iterations of all their solves.
 
     The grid is walked as paths that fix every hyperparameter but rho (GL's
     lambda, GGL's lambda1), each from its largest rho down. A path's first
     solve starts cold and each later one where the previous one ended
-    (Friedman, Hastie & Tibshirani, JSS 2010)."""
+    (Friedman, Hastie & Tibshirani, JSS 2010). All paths take each rho step
+    together, as one _estimate call."""
     covs, truths = realize_cell(cfg, sweep_index, cfg.n_realizations)
     solver_cfg = cfg.solver_config()
     grid = _grid(cfg, method)
     n_paths = len(grid) // len(cfg.rho_grid)
     descending = sorted(range(len(cfg.rho_grid)), key=lambda r: -cfg.rho_grid[r])
-    errors, unconverged = [None] * len(grid), 0
-    for path in range(n_paths):
-        runs = None
-        for r in descending:
-            point = r * n_paths + path
-            estimates, runs = _estimate(method, covs, grid[point], solver_cfg, runs)
-            errors[point] = mean_normalized_error(estimates, truths)
-            unconverged += not all(run.converged for run in runs)
-    return errors, unconverged
+    errors, unconverged, iterations, runs = [None] * len(grid), 0, 0, None
+    for r in descending:
+        points = range(r * n_paths, (r + 1) * n_paths)
+        estimates, runs = _estimate(method, covs, [grid[p] for p in points], solver_cfg, runs)
+        for point, layers, point_runs in zip(points, estimates, runs):
+            errors[point] = mean_normalized_error(layers, truths)
+            unconverged += not all(run.converged for run in point_runs)
+            iterations += sum(run.iterations for run in point_runs)
+    return errors, unconverged, iterations
 
 
 def _one_blas_thread():
@@ -455,7 +494,7 @@ def run_experiment(cfg: ExperimentConfig) -> RunResult:
         # Joint's grid, then LVGL's, is most of the selection time: queue them first.
         selection = [(si, method) for method in reversed(METHODS) for si in sweep_indices]
         held_out = list(pool.map(_select_cell, repeat(cfg), *zip(*selection)))
-        by_cell = {cell: errors for cell, (errors, _) in zip(selection, held_out)}
+        by_cell = {cell: errors for cell, (errors, _, _) in zip(selection, held_out)}
         selected = {cfg.sweep[si]: select_params(
             cfg, {method: by_cell[si, method] for method in METHODS}) for si in sweep_indices}
         selection_seconds = time.time() - start
@@ -466,7 +505,7 @@ def run_experiment(cfg: ExperimentConfig) -> RunResult:
         scores = list(pool.map(_score_cell, repeat(cfg), *zip(*cells)))
 
     raw = np.empty((len(cfg.sweep), len(METHODS), cfg.n_realizations))
-    for (si, r, _), (errors, _) in zip(cells, scores):
+    for (si, r, _), (errors, _, _) in zip(cells, scores):
         raw[si, :, r] = errors
     runtime = time.time() - start
     return RunResult(
@@ -474,9 +513,11 @@ def run_experiment(cfg: ExperimentConfig) -> RunResult:
         raw_errors=raw,
         selected=selected,
         mc_invocations=len(METHODS) * len(cells),
-        selection_invocations=sum(len(errors) for errors, _ in held_out),
-        mc_unconverged=sum(n for _, n in scores),
-        selection_unconverged=sum(n for _, n in held_out),
+        selection_invocations=sum(len(errors) for errors, _, _ in held_out),
+        mc_unconverged=sum(n for _, n, _ in scores),
+        selection_unconverged=sum(n for _, n, _ in held_out),
+        mc_iterations=sum(n for _, _, n in scores),
+        selection_iterations=sum(n for _, _, n in held_out),
         runtime_seconds=runtime,
         selection_seconds=selection_seconds,
         monte_carlo_seconds=runtime - selection_seconds,
@@ -522,6 +563,8 @@ def write_manifest(result: RunResult, csv_path) -> str:
     lines.append(f"selection_method_invocations = {result.selection_invocations}")
     lines.append(f"unconverged_method_invocations = selection {result.selection_unconverged}, "
                  f"monte_carlo {result.mc_unconverged}")
+    lines.append(f"admm_iterations = selection {result.selection_iterations}, "
+                 f"monte_carlo {result.mc_iterations}")
     lines.append(f"runtime_seconds = {result.runtime_seconds:.3f}")
     lines.append(f"selection_seconds = {result.selection_seconds:.3f}")
     lines.append(f"monte_carlo_seconds = {result.monte_carlo_seconds:.3f}")

@@ -34,7 +34,16 @@ def _check_stack(a, name):
     return a
 
 
-def prox_logdet(a, c, tau: float):
+def _per_matrix(value, shape, name):
+    """value as a float array: a scalar, or one value per matrix of a stack
+    whose leading shape is `shape`."""
+    value = np.asarray(value, dtype=float)
+    if value.shape not in ((), shape):
+        raise InvalidInput(f"{name} must be a scalar or of shape {shape}, got {value.shape}")
+    return value
+
+
+def prox_logdet(a, c, tau):
     """Prox of the Gaussian log-likelihood barrier.
 
     Returns ``argmin_R tr(c R) - logdet(R) + (tau/2) ||R - a||_F^2``,
@@ -42,27 +51,36 @@ def prox_logdet(a, c, tau: float):
     eigenvalue map ``g -> (g + sqrt(g^2 + 4/tau)) / 2``. The result is
     strictly positive definite. ``a`` and ``c`` are symmetric matrices or
     stacks ``(..., o, o)`` of them, of one shape; only the lower triangle
-    of ``a - c/tau`` is read, and the output is not symmetrized.
+    of ``a - c/tau`` is read, and the output is not symmetrized. ``tau``
+    is a scalar or one step per matrix (shape ``a.shape[:-2]``); each
+    matrix's result has the bits of a call on that matrix alone.
     """
-    if not 0 < tau < np.inf:
-        raise InvalidInput(f"tau must be positive and finite, got {tau}")
     a = _check_stack(a, "a")
     c = _check_stack(c, "c")
     if a.shape != c.shape:
         raise InvalidInput(f"shape mismatch: {a.shape} vs {c.shape}")
-    g, q = np.linalg.eigh(a - c / tau)
-    phi = 0.5 * (g + np.sqrt(g * g + 4.0 / tau))
+    tau = _per_matrix(tau, a.shape[:-2], "tau")
+    if not np.all((0 < tau) & (tau < np.inf)):
+        raise InvalidInput(f"tau must be positive and finite, got {tau}")
+    g, q = np.linalg.eigh(a - c / tau[..., None, None])
+    phi = 0.5 * (g + np.sqrt(g * g + 4.0 / tau[..., None]))
     return (q * phi[..., None, :]) @ np.swapaxes(q, -1, -2)
 
 
-def soft_threshold(a, lam: float):
+def soft_threshold(a, lam):
     """Elementwise l1 prox; the diagonal of a square matrix, or of each
-    matrix of a stack (..., o, o), is left untouched."""
-    if not 0 <= lam < np.inf:
-        raise InvalidInput(f"lambda must be finite and nonnegative, got {lam}")
+    matrix of a stack (..., o, o), is left untouched. lam is a scalar or,
+    for a stack, one weight per matrix (shape a.shape[:-2]); each matrix's
+    result has the bits of a call on that matrix alone."""
     a = np.asarray(a, dtype=float)
+    square = a.ndim >= 2 and a.shape[-2] == a.shape[-1]
+    lam = _per_matrix(lam, a.shape[:-2] if square else (), "lambda")
+    if not np.all((0 <= lam) & (lam < np.inf)):
+        raise InvalidInput(f"lambda must be finite and nonnegative, got {lam}")
+    if lam.ndim:
+        lam = lam[..., None, None]
     out = np.sign(a) * np.maximum(np.abs(a) - lam, 0.0)
-    if a.ndim >= 2 and a.shape[-2] == a.shape[-1]:
+    if square:
         idx = np.arange(a.shape[-1])
         out[..., idx, idx] = a[..., idx, idx]
     return out
@@ -79,9 +97,7 @@ def prox_psd_trace(a, kappa):
     one weight per matrix.
     """
     a = _check_stack(a, "a")
-    kappa = np.asarray(kappa, dtype=float)
-    if kappa.shape not in ((), a.shape[:-2]):
-        raise InvalidInput(f"kappa must be a scalar or of shape {a.shape[:-2]}, got {kappa.shape}")
+    kappa = _per_matrix(kappa, a.shape[:-2], "kappa")
     if not np.all(kappa >= 0):
         raise InvalidInput(f"kappa must be nonnegative, got {kappa}")
     g, q = np.linalg.eigh(a)
@@ -121,23 +137,27 @@ def _isotonic_decreasing_stack(v):
     return fit
 
 
-def fused_prox_stack(v, lam1, pair_weight: float):
-    """Vectorized fused-l1 prox along axis 0 with uniform pair weight.
+def fused_prox_stack(v, lam1, pair_weight):
+    """Vectorized fused-l1 prox along axis 0 with one pair weight per column.
 
     v has shape (K, n): n independent prox problems, one per column.
-    lam1 is a scalar (or per-column array) l1 weight shared by all K
-    coordinates of a column.
+    lam1 is the l1 weight shared by all K coordinates of a column and
+    pair_weight the weight of each of its pairs, each a scalar or one
+    value per column. Columns of pair weight 0 are soft-thresholded
+    exactly; every column's result has the bits of a call on that column
+    alone.
     """
     v = np.asarray(v, dtype=float)
+    pair_weight = np.asarray(pair_weight, dtype=float)
     k = v.shape[0]
-    if k == 1 or pair_weight == 0.0:
-        return np.sign(v) * np.maximum(np.abs(v) - lam1, 0.0)
-    order = np.argsort(-v, axis=0, kind="stable")
-    vs = np.take_along_axis(v, order, axis=0)
-    shift = pair_weight * (k - 2.0 * np.arange(1, k + 1) + 1.0)
-    fit = _isotonic_decreasing_stack(vs - shift[:, None])
-    z = np.empty_like(v)
-    np.put_along_axis(z, order, fit, axis=0)
+    z = v
+    if k > 1 and pair_weight.any():
+        order = (np.argsort(-v, axis=0, kind="stable"), np.arange(v.shape[1]))
+        shift = (k - 2.0 * np.arange(1, k + 1) + 1.0)[:, None] * pair_weight
+        z = np.empty_like(v)
+        z[order] = _isotonic_decreasing_stack(v[order] - shift)
+        if not pair_weight.all():
+            z = np.where(pair_weight == 0.0, v, z)
     return np.sign(z) * np.maximum(np.abs(z) - lam1, 0.0)
 
 
@@ -264,29 +284,57 @@ def _fused_columns(lam, pair, max_cut_layers):
 
 
 def symmetric_fused_prox(lam, pair, o: int, diagonal: bool):
-    """The fused-l1 prox f(v, sigma) over symmetric matrices, for stacks v
-    (K, o, o), at l1 weights lam / sigma and pair weights pair / sigma (as
-    in _fused_columns).
+    """The fused-l1 prox f(v, sigma) over symmetric matrices of B problems
+    of K layers, at l1 weights lam / sigma and pair weights pair / sigma
+    (as in _fused_columns). lam is (K,) or (B, K), pair (K, K) or (B, K,
+    K), one weight set per problem; v is (K, o, o) or (B, K, o, o) to
+    match, and sigma a scalar or one step per problem.
 
     The upper triangle (with the diagonal if `diagonal` is set) gets the
     prox of the symmetric part (v + v^T) / 2 and is mirrored to the lower
     one; an unpenalized diagonal keeps the values of v. Since the penalty
     and the squared distance each count an off-diagonal pair twice, this
-    is the exact prox over symmetric matrices.
+    is the exact prox over symmetric matrices. The triangles of all
+    problems are laid out as the columns of one (K, B n) array, so one
+    fused_prox_stack call serves the batch when every problem's weights
+    are uniform; otherwise each problem takes its own _fused_columns path.
+    The index tables are built here, once per weight set.
 
-    Raises InvalidInput if the weights are not uniform and K > 8.
+    Raises InvalidInput if some problem's weights are not uniform and
+    K > 8.
     """
-    fused = _fused_columns(lam, pair, _MAX_SOLVE_CUT_LAYERS)
+    k = np.shape(lam)[-1]
+    lam = np.reshape(lam, (-1, k))
+    pair = np.reshape(pair, (-1, k, k))
+    b = lam.shape[0]
     i, j = np.triu_indices(o, 0 if diagonal else 1)
-    upper, lower = i * o + j, j * o + i
+    n = i.size
+    # entry t of problem p's layer l sits in column p n + t, row l
+    base = (np.arange(b) * k + np.arange(k)[:, None])[:, :, None] * (o * o)
+    upper = (base + i * o + j).reshape(k, b * n)
+    lower = (base + j * o + i).reshape(k, b * n)
+    if all(_is_uniform(lam_p, pair_p) for lam_p, pair_p in zip(lam, pair)):
+        # the one pair weight of each problem; 0 at K = 1, where this is soft-thresholding
+        lam1, pair_weight = lam[:, 0], pair.max(axis=(1, 2))
+
+        def fused(sym, sigma):
+            return fused_prox_stack(sym, np.repeat(lam1 / sigma, n),
+                                    np.repeat(pair_weight / sigma, n))
+    else:
+        paths = [_fused_columns(lam_p, pair_p, _MAX_SOLVE_CUT_LAYERS)
+                 for lam_p, pair_p in zip(lam, pair)]
+
+        def fused(sym, sigma):
+            sigma = np.broadcast_to(sigma, (b,))
+            return np.hstack([path(sym[:, p * n:(p + 1) * n], sigma[p])
+                              for p, path in enumerate(paths)])
 
     def prox(v, sigma):
-        flat = v.reshape(v.shape[0], -1)
+        flat = v.reshape(-1)
         out = flat.copy()
-        sym = 0.5 * (np.take(flat, upper, axis=1) + np.take(flat, lower, axis=1))
-        z = fused(sym, sigma)
-        out[:, upper] = z
-        out[:, lower] = z
+        z = fused(0.5 * (flat[upper] + flat[lower]), sigma)
+        out[upper] = z
+        out[lower] = z
         return out.reshape(v.shape)
 
     return prox

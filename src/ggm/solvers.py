@@ -18,10 +18,14 @@ symmetric_fused_prox (which also picks the fused path and its layer
 limit) on S and on P, and prox_psd_trace. The group graphical lasso
 (GGL) reuses the same kernels; it and the joint estimator share one
 over-relaxed, scaled-form ADMM loop, `_admm`, and differ only in their
-prox steps and linear maps. `_admm` returns one AdmmRun per solve, its
-report and the end state a warm solve can start from; the private engine
-entry points `_solve_joint` and `_solve_ggl` return it with their
-estimates, and the public solvers are those entry points started cold.
+prox steps and linear maps. `_admm` solves B independent problems of one
+shape at once, on a leading problem axis, each with its own step and
+stopping test and with the bits of its solve alone, and returns one
+AdmmRun per problem, its report and the end state a warm solve can start
+from. The private engine entry points `_solve_joint` and `_solve_ggl`
+take one weight set and one start per problem and return the runs with
+their estimates; the public solvers are those entry points at B = 1,
+started cold.
 The single-graph baselines are their one-layer cases: the graphical
 lasso (GL) is GGL at one layer with lambda2 = 0, and the latent-variable
 graphical lasso (LVGL) is the joint estimator at K = 1.
@@ -64,6 +68,8 @@ _ADAPT_FACTOR = 2.0
 # At 1.6 a held-out tc1 LVGL solve at rho = beta = 0.01 hits the sweeps'
 # 800-iteration cap; at 1.5 it converges.
 _RELAX = 1.5
+# np.getbufsize() at its default: the chunk in which einsum sums (see _norm)
+_EINSUM_BUFFER = 8192
 
 
 @dataclass(frozen=True)
@@ -194,13 +200,19 @@ def joint_objective(s, p, covs, w: PenaltyWeights) -> float:
         raise InvalidInput(f"weights describe {w.n_layers} layers but {k} covariances given")
     s = _estimate_stack(s, cov_stack.shape, "s")
     p = _estimate_stack(p, cov_stack.shape, "p")
-    r = s - p
-    lam = np.linalg.eigvalsh(r)
+    lam = np.linalg.eigvalsh(s - p)
     if lam.min() <= 0:
         return np.inf
-    fit = (r * cov_stack).sum(axis=(1, 2)) - np.log(lam).sum(axis=1)
+    return _joint_value(s, p, cov_stack, w, np.log(lam).sum(axis=1),
+                        np.abs(np.linalg.eigvalsh(p)).sum(axis=1))
+
+
+def _joint_value(s, p, cov_stack, w, logdet, nuclear):
+    """joint_objective at checked stacks s and p with S^k - P^k positive
+    definite, given logdet(S^k - P^k) and the nuclear norm of P^k per layer."""
+    k = len(cov_stack)
+    fit = ((s - p) * cov_stack).sum(axis=(1, 2)) - logdet
     l1 = _l1_off(s)
-    nuclear = np.abs(np.linalg.eigvalsh(p)).sum(axis=1)
     iu = [i for i in range(k) for _ in range(i + 1, k)]
     ju = [j for i in range(k) for j in range(i + 1, k)]
     l1_pair = _l1_off(s[iu] - s[ju])
@@ -228,8 +240,13 @@ def ggl_objective(s_list, covs, lambda1: float, lambda2: float) -> float:
     ev = np.linalg.eigvalsh(stack)
     if ev.min() <= 0:
         return np.inf
-    terms = (stack * cov_stack).sum(axis=(-2, -1)) \
-        - np.log(ev).sum(axis=-1) + lambda1 * _l1_off(stack)
+    return _ggl_value(stack, cov_stack, lambda1, lambda2, np.log(ev).sum(axis=-1))
+
+
+def _ggl_value(stack, cov_stack, lambda1, lambda2, logdet):
+    """ggl_objective at a checked, positive definite stack, given
+    logdet(S^k) per layer."""
+    terms = (stack * cov_stack).sum(axis=(-2, -1)) - logdet + lambda1 * _l1_off(stack)
     total = 0.0
     for term in terms:
         total += term
@@ -244,32 +261,61 @@ def ggl_objective(s_list, covs, lambda1: float, lambda2: float) -> float:
 # Shared pieces of the splitting loops
 # ---------------------------------------------------------------------------
 
-def _rebalance(sigma, duals, rp, rd):
+def _each(values, ndim):
+    """Per-problem values (B,) shaped to broadcast against (B, ...) arrays
+    of ndim dimensions."""
+    return values.reshape(values.shape + (1,) * (ndim - 1))
+
+
+def _rebalance(sigma, duals, rp, rd, free):
     """Residual balancing (Boyd et al., ADMM, FnT-ML 2011, sec. 3.4.1):
-    scale the step, and the scaled duals inversely, when one relative
-    residual dominates the other."""
-    if rp > _ADAPT_RATIO * rd and sigma * _ADAPT_FACTOR <= 1e6:
-        sigma *= _ADAPT_FACTOR
+    scale the step of each problem marked free, and its scaled duals
+    inversely, when one relative residual dominates the other. Returns
+    the new steps; the duals are scaled in place."""
+    # rp, rd >= 0, so at most one residual dominates
+    grow = free & (rp > _ADAPT_RATIO * rd) & (sigma * _ADAPT_FACTOR <= 1e6)
+    shrink = free & (rd > _ADAPT_RATIO * rp) & (sigma / _ADAPT_FACTOR >= 1e-6)
+    if grow.any():
         for u in duals:
-            u /= _ADAPT_FACTOR
-    elif rd > _ADAPT_RATIO * rp and sigma / _ADAPT_FACTOR >= 1e-6:
-        sigma /= _ADAPT_FACTOR
+            np.divide(u, _ADAPT_FACTOR, out=u, where=_each(grow, u.ndim))
+        sigma = np.where(grow, sigma * _ADAPT_FACTOR, sigma)
+    if shrink.any():
         for u in duals:
-            u *= _ADAPT_FACTOR
+            np.multiply(u, _ADAPT_FACTOR, out=u, where=_each(shrink, u.ndim))
+        sigma = np.where(shrink, sigma / _ADAPT_FACTOR, sigma)
     return sigma
 
 
 def _norm(arrays):
-    """Frobenius norm of the arrays taken together, with no a * a
-    temporaries (einsum, not BLAS dot, so the bits do not depend on the
-    BLAS thread count)."""
-    return math.sqrt(sum(float(np.einsum("i,i->", a.ravel(), a.ravel())) for a in arrays))
+    """Frobenius norm of each problem's blocks taken together: (B,) for
+    arrays of shape (B, ...), with no a * a temporaries.
+
+    Each problem's sum of squares has the bits of einsum("i,i->") on that
+    problem's block alone (einsum, not BLAS dot, so the bits do not depend
+    on the BLAS thread count). einsum sums a contiguous operand in chunks
+    of its iterator buffer (numpy's default of _EINSUM_BUFFER elements),
+    and a 2-D einsum("pi,pi->p") chunks each row the same way only while
+    a row fits in one buffer; longer blocks are summed one problem at a
+    time.
+    """
+    total = 0.0
+    for a in arrays:
+        a = a.reshape(len(a), -1)
+        if a.shape[1] <= _EINSUM_BUFFER:
+            total = total + np.einsum("pi,pi->p", a, a)
+        else:
+            total = total + np.array([np.einsum("i,i->", row, row) for row in a])
+    return np.sqrt(total)
 
 
-def _admm(x_proxes, z_step, lift, z0, cfg, name, start=None):
-    """Over-relaxed, scaled-form ADMM for min sum_i f_i(x_i) + g(z) s.t.
-    x = lift(z).
+def _admm(steps, lift, z0, cfg, name, starts):
+    """Over-relaxed, scaled-form ADMM for B independent problems of one
+    shape, each min sum_i f_i(x_i) + g(z) s.t. x = lift(z).
 
+    Every array carries the problems on its leading axis, and sigma is one
+    step per problem, (B,). steps(on) returns (x_proxes, z_step) for the
+    problems on, an index array into the batch, in that order; it is
+    called before the first iteration and again whenever problems stop.
     x_proxes holds one function per x-block: x_proxes[i](v_i, sigma) is
     the prox of f_i / sigma at the anchor v_i = lift(z)_i - u_i (each
     anchor is formed just before its prox, so only one is alive at a
@@ -279,35 +325,43 @@ def _admm(x_proxes, z_step, lift, z0, cfg, name, start=None):
     sec. 3.4.3); lift is linear and maps the tuple z to the tuple of
     x-blocks. The proxes and z_step must return fresh arrays and may not
     write into their inputs: the duals are updated in place, and lift
-    may return the same array twice. Stops when the primal residual
-    x - lift(z) and the dual residual sigma lift(z - z_prev), relative to
-    the size of the iterates and of the duals, both fall below the
-    tolerances (Boyd et al., sec. 3.3); otherwise rebalances the step.
+    may return the same array twice. Every step acts on each problem
+    alone, so a problem gets the same bits in any batch as solved alone.
 
-    A cold solve starts at z0 with zero duals and step 1. start, the
-    AdmmRun of a solve of a problem of the same shape, replaces all three
-    by the state that solve ended in: a path of problems that differ only
-    in their weights, each started where the previous one ended, is a
-    warm-started regularization path (Friedman, Hastie & Tibshirani, JSS
-    2010). start is not modified.
+    A problem stops when the primal residual x - lift(z) and the dual
+    residual sigma lift(z - z_prev), relative to the size of its iterates
+    and of its duals, both fall below the tolerances (Boyd et al., sec.
+    3.3), or at cfg.max_iters; until then its step is rebalanced. A
+    stopped problem leaves the batch with its state recorded, and the
+    rest go on.
 
-    Returns (x, run): run is the AdmmRun of this solve, whose z, duals and
-    sigma are those after the last update, so a solve started from it
-    continues this one.
+    starts holds one entry per problem. None starts a problem cold: at
+    z0, the tuple of one problem's z-blocks, with zero duals and step 1.
+    An AdmmRun of a solve of a problem of the same shape replaces all
+    three by the state that solve ended in: a path of problems that
+    differ only in their weights, each started where the previous one
+    ended, is a warm-started regularization path (Friedman, Hastie &
+    Tibshirani, JSS 2010). starts are not modified.
+
+    Returns (x, runs): x the x-blocks, (B, ...) each, and runs one
+    AdmmRun per problem, whose z, duals and sigma are those after its
+    last update, so a solve started from it continues this one.
 
     Raises
     ------
     NumericalError
         If a residual becomes non-finite.
     """
-    z = tuple(z0) if start is None else start.z
+    n = len(starts)
+    z = tuple(np.stack([block if start is None else start.z[i] for start in starts])
+              for i, block in enumerate(z0))
     lz = lift(z)
-    if start is None:
-        duals, sigma = [np.zeros_like(v) for v in lz], 1.0
-    else:
-        duals, sigma = [u.copy() for u in start.duals], start.sigma
-    history = []
-    converged = False
+    duals = [np.stack([np.zeros_like(v[0]) if start is None else start.duals[i]
+                       for start in starts]) for i, v in enumerate(lz)]
+    sigma = np.array([1.0 if start is None else start.sigma for start in starts])
+    on = np.arange(n)
+    x_proxes, z_step = steps(on)
+    out, runs, rows, histories = None, [None] * n, [], [[] for _ in range(n)]
     for it in range(cfg.max_iters):
         x = [prox(v - u, sigma) for prox, v, u in zip(x_proxes, lz, duals)]
         # the duals become t = x_hat + u, then u + x_hat - lift(z_new)
@@ -321,20 +375,45 @@ def _admm(x_proxes, z_step, lift, z0, cfg, name, start=None):
             u -= v
         prim = _norm([xi - v for xi, v in zip(x, lz)])
         dual = sigma * _norm(lift(dz))
-        if not math.isfinite(prim) or not math.isfinite(dual):
+        if not (np.isfinite(prim).all() and np.isfinite(dual).all()):
             raise NumericalError(f"{name} diverged (non-finite residuals)")
-        rp = prim / max(_norm(x), _norm(lz), _EPS)
-        rd = dual / max(sigma * _norm(duals), _EPS)
-        history.append((rp, rd))
-        if rp <= cfg.tol_primal and rd <= cfg.tol_dual:
-            converged = True
+        rp = prim / np.maximum(np.maximum(_norm(x), _norm(lz)), _EPS)
+        rd = dual / np.maximum(sigma * _norm(duals), _EPS)
+        rows.append((rp, rd))
+        converged = (rp <= cfg.tol_primal) & (rd <= cfg.tol_dual)
+        sigma = _rebalance(sigma, duals, rp, rd, ~converged)
+        if it + 1 < cfg.max_iters and not converged.any():
+            continue
+        stop = converged if it + 1 < cfg.max_iters else np.ones_like(converged)
+        segment = np.array(rows)     # (iterations, 2, active problems)
+        for j, p in enumerate(on):
+            histories[p].append(segment[:, :, j])
+        rows = []
+        if out is None:   # every problem stops at once: hand x over as it is
+            out = x if stop.all() else [np.empty((n,) + xi.shape[1:]) for xi in x]
+        if out is not x:
+            for block, xi in zip(out, x):
+                block[on[stop]] = xi[stop]
+        # a problem that stops while others go on keeps copies, not views
+        # that would hold the batch's arrays; the last to stop keep views
+        end = (lambda a: a) if stop.all() else np.copy
+        for j in np.flatnonzero(stop):
+            runs[on[j]] = AdmmRun(tuple(end(zi[j]) for zi in z), tuple(end(u[j]) for u in duals),
+                                  float(sigma[j]), it + 1, bool(converged[j]),
+                                  np.concatenate(histories[on[j]]))
+        go = ~stop
+        if not go.any():
             break
-        sigma = _rebalance(sigma, duals, rp, rd)
-    return x, AdmmRun(z, tuple(duals), sigma, it + 1, converged, np.asarray(history))
+        on, sigma = on[go], sigma[go]
+        z = tuple(zi[go] for zi in z)
+        lz = lift(z)
+        duals = [u[go] for u in duals]
+        x_proxes, z_step = steps(on)
+    return tuple(out), tuple(runs)
 
 
 def _floor_spectrum(s, p):
-    """Symmetrize the stack s (K, o, o) and shift each S^k by a multiple of
+    """Symmetrize the stack s (..., o, o) and shift each S^k by a multiple of
     the identity so that S^k - P^k (S^k when p is None) has no eigenvalue
     below _PD_FLOOR. A guard for capped exits; a no-op on converged ones."""
     s = 0.5 * (s + np.swapaxes(s, -1, -2))
@@ -366,33 +445,55 @@ def solve_joint_hidden(covs, w: PenaltyWeights, cfg: SolverConfig = SolverConfig
         fused prox, which for non-uniform weights enumerates 2^K cuts.
     """
     observed = ObservedCovariances.of(covs)
-    s_hat, p_hat, run = _solve_joint(observed.covs, w, cfg)
-    return JointEstimate(tuple(s_hat), tuple(p_hat), joint_objective(s_hat, p_hat, observed, w),
+    s_hat, p_hat, (run,) = _solve_joint(observed.covs, (w,), cfg, (None,))
+    return JointEstimate(tuple(s_hat[0]), tuple(p_hat[0]),
+                         joint_objective(s_hat[0], p_hat[0], observed, w),
                          run.iterations, run.converged, run.residual_history)
 
 
-def _solve_joint(cov_stack, w: PenaltyWeights, cfg: SolverConfig, start=None):
-    """solve_joint_hidden's estimates on a checked, read-only (K, o, o) stack
-    (ObservedCovariances.covs or a slice of it), started from the AdmmRun
-    start (None: cold): (S stack, P stack, the AdmmRun of this solve)."""
-    k, o, _ = cov_stack.shape
-    if w.n_layers != k:
-        raise InvalidInput(f"weights describe {w.n_layers} layers but {k} covariances given")
-    s_fused = symmetric_fused_prox(w.rho, w.rho_pair, o, False)
-    p_fused = symmetric_fused_prox(np.zeros(k), w.beta_pair, o, True)
-    x_proxes = (lambda v, sigma: prox_logdet(v, cov_stack, sigma), s_fused,
-                lambda v, sigma: prox_psd_trace(v, w.beta / sigma), p_fused)
+def _problem_covs(cov_stack, on, k, o):
+    """The covariances of the problems on: a (B, K, o, o) stack holds one
+    stack per problem, a (K, o, o) one is shared (a broadcast view)."""
+    if cov_stack.ndim == 4:
+        return cov_stack[on]
+    return np.broadcast_to(cov_stack, (on.size, k, o, o))
+
+
+def _solve_joint(cov_stack, weights, cfg: SolverConfig, starts):
+    """solve_joint_hidden's estimates for B problems at once: one
+    PenaltyWeights per problem in weights, and one start per problem in
+    starts (None: cold, else the AdmmRun to continue). cov_stack is a
+    checked, read-only (K, o, o) stack that every problem shares
+    (ObservedCovariances.covs) or a (B, K, o, o) stack of one per problem.
+    Returns (S stack, P stack, runs): (B, K, o, o) each and one AdmmRun
+    per problem, each problem's bits those of its solve alone."""
+    k, o = cov_stack.shape[-3], cov_stack.shape[-1]
+    for w in weights:
+        if w.n_layers != k:
+            raise InvalidInput(f"weights describe {w.n_layers} layers but {k} covariances given")
+    rho, beta, rho_pair, beta_pair = (np.array([getattr(w, f) for w in weights])
+                                      for f in ("rho", "beta", "rho_pair", "beta_pair"))
+
+    def steps(on):
+        covs = _problem_covs(cov_stack, on, k, o)
+        s_fused = symmetric_fused_prox(rho[on], rho_pair[on], o, False)
+        p_fused = symmetric_fused_prox(np.zeros((on.size, k)), beta_pair[on], o, True)
+        beta_on = beta[on]
+        x_proxes = (lambda v, sigma: prox_logdet(v, covs, np.repeat(sigma[:, None], k, 1)),
+                    s_fused, lambda v, sigma: prox_psd_trace(v, beta_on / sigma[:, None]),
+                    p_fused)
+        return x_proxes, z_step
 
     def z_step(t, sigma):
         # least-squares consensus for x = (Z_S - Z_P, Z_S, Z_P, Z_P)
         ta, tb, tc, td = t
         return (2.0 * ta + 3.0 * tb + tc + td) / 5.0, (-ta + tb + 2.0 * tc + 2.0 * td) / 5.0
 
-    z0 = (np.broadcast_to(np.eye(o), (k, o, o)).copy(), np.zeros((k, o, o)))
-    x, run = _admm(x_proxes, z_step, lambda z: (z[0] - z[1], z[0], z[1], z[1]), z0, cfg,
-                   "joint solver", start)
-    p_hat = 0.5 * (x[2] + np.swapaxes(x[2], 1, 2))
-    return _floor_spectrum(x[1], p_hat), p_hat, run
+    z0 = (np.broadcast_to(np.eye(o), (k, o, o)), np.zeros((k, o, o)))
+    x, runs = _admm(steps, lambda z: (z[0] - z[1], z[0], z[1], z[1]), z0, cfg,
+                    "joint solver", starts)
+    p_hat = 0.5 * (x[2] + np.swapaxes(x[2], -1, -2))
+    return _floor_spectrum(x[1], p_hat), p_hat, runs
 
 
 def solve_lvgl(cov, rho: float, beta: float, cfg: SolverConfig = SolverConfig()):
@@ -419,30 +520,39 @@ def solve_ggl(covs, lambda1: float, lambda2: float, cfg: SolverConfig = SolverCo
     (lambda2) on each off-diagonal entry; the prox of the group term is
     a blockwise group soft-threshold applied after the elementwise one.
     """
-    return list(_solve_ggl(ObservedCovariances.of(covs).covs, lambda1, lambda2, cfg)[0])
+    s_hat, _ = _solve_ggl(ObservedCovariances.of(covs).covs, [lambda1], [lambda2], cfg, (None,))
+    return list(s_hat[0])
 
 
-def _solve_ggl(cov_stack, lambda1: float, lambda2: float, cfg: SolverConfig, start=None):
-    """solve_ggl's estimates on a checked, read-only (K, o, o) stack
-    (ObservedCovariances.covs or a slice of it), started from the AdmmRun
-    start (None: cold): (S stack, the AdmmRun of this solve)."""
-    if not (0 <= lambda1 < np.inf and 0 <= lambda2 < np.inf):
+def _solve_ggl(cov_stack, lambda1, lambda2, cfg: SolverConfig, starts):
+    """solve_ggl's estimates for B problems at once: lambda1 and lambda2
+    hold one weight per problem, starts one start per problem, and
+    cov_stack is as in _solve_joint. Returns (S stack, runs): (B, K, o, o)
+    and one AdmmRun per problem, each problem's bits those of its solve
+    alone."""
+    lambda1, lambda2 = np.asarray(lambda1, dtype=float), np.asarray(lambda2, dtype=float)
+    if not np.all((0 <= lambda1) & (lambda1 < np.inf) & (0 <= lambda2) & (lambda2 < np.inf)):
         raise InvalidInput("lambda1 and lambda2 must be finite and nonnegative")
-    k, o, _ = cov_stack.shape
+    k, o = cov_stack.shape[-3], cov_stack.shape[-1]
     diag = np.eye(o, dtype=bool)
 
-    def z_step(t, sigma):
-        v = t[0]
-        z = soft_threshold(v, lambda1 / sigma)
-        group = np.sqrt(np.sum(z * z, axis=0))
-        z = z * np.maximum(0.0, 1.0 - (lambda2 / sigma) / np.maximum(group, 1e-300))
-        z[:, diag] = v[:, diag]
-        return (z,)
+    def steps(on):
+        covs = _problem_covs(cov_stack, on, k, o)
+        l1, l2 = lambda1[on], lambda2[on]
 
-    z0 = (np.broadcast_to(np.eye(o), (k, o, o)).copy(),)
-    x_proxes = (lambda v, sigma: prox_logdet(v, cov_stack, sigma),)
-    _, run = _admm(x_proxes, z_step, lambda z: z, z0, cfg, "group graphical lasso", start)
-    return _floor_spectrum(run.z[0], None), run
+        def z_step(t, sigma):
+            v = t[0]
+            z = soft_threshold(v, np.repeat((l1 / sigma)[:, None], k, 1))
+            group = np.sqrt(np.sum(z * z, axis=1, keepdims=True))
+            z = z * np.maximum(0.0, 1.0 - _each(l2 / sigma, 4) / np.maximum(group, 1e-300))
+            z[..., diag] = v[..., diag]
+            return (z,)
+
+        return (lambda v, sigma: prox_logdet(v, covs, np.repeat(sigma[:, None], k, 1)),), z_step
+
+    z0 = (np.broadcast_to(np.eye(o), (k, o, o)),)
+    _, runs = _admm(steps, lambda z: z, z0, cfg, "group graphical lasso", starts)
+    return _floor_spectrum(np.stack([run.z[0] for run in runs]), None), runs
 
 
 def solve_gl(cov, lam: float, cfg: SolverConfig = SolverConfig()):
@@ -486,7 +596,10 @@ class OracleSolution:
 
 
 def _oracle_pieces(problem):
-    """(cov_stack, objective(s_stack, p_stack), subgrad(s, p), has_latent)."""
+    """(cov_stack, objective(s_stack, p_stack), value(s, p, logdet, trace_p),
+    subgrad(s, p, rinv), has_latent). value is the objective at a feasible
+    point, given logdet(S^k - P^k) and tr P^k per layer from the
+    projection's eigendecompositions."""
     if isinstance(problem, JointProblem):
         observed = ObservedCovariances.of(problem.covs)
         cov_stack = observed.covs
@@ -498,6 +611,9 @@ def _oracle_pieces(problem):
 
         def objective(s, p):
             return joint_objective(s, p, observed, w)
+
+        def value(s, p, logdet, trace_p):
+            return _joint_value(s, p, cov_stack, w, logdet, trace_p)
 
         def subgrad(s, p, rinv):
             gs = cov_stack - rinv + rho * np.sign(s) * offmask
@@ -512,7 +628,7 @@ def _oracle_pieces(problem):
                     gp[j] -= w.beta_pair[i, j] * pg
             return gs, gp
 
-        return cov_stack, objective, subgrad, True
+        return cov_stack, objective, value, subgrad, True
 
     if isinstance(problem, GGLProblem):
         observed = ObservedCovariances.of(problem.covs)
@@ -522,6 +638,9 @@ def _oracle_pieces(problem):
         def objective(s, p):
             return ggl_objective(s, observed, problem.lambda1, problem.lambda2)
 
+        def value(s, p, logdet, trace_p):
+            return _ggl_value(s, cov_stack, problem.lambda1, problem.lambda2, logdet)
+
         def subgrad(s, p, rinv):
             gs = cov_stack - rinv + problem.lambda1 * np.sign(s) * offmask
             masked = s * offmask
@@ -529,7 +648,7 @@ def _oracle_pieces(problem):
             gs += problem.lambda2 * masked / np.maximum(nrm, 1e-300)
             return gs, np.zeros_like(gs)
 
-        return cov_stack, objective, subgrad, False
+        return cov_stack, objective, value, subgrad, False
 
     raise InvalidInput(f"unknown oracle problem type {type(problem).__name__}")
 
@@ -541,11 +660,15 @@ def reference_oracle(problem, budget: int = 100_000, start=None) -> OracleSoluti
     0.5 for the first stage of 800 steps, shrunk by 0.7 between stages,
     each stage restarting from the best feasible iterate found so far.
     P is projected onto the PSD cone and S - P onto {min eig >= 1e-8}
-    after every step. ``budget`` caps the total steps; ``start`` is an
-    optional (s_list, p_list) starting point. Only instances with O <= 5
-    and K <= 3 are accepted.
+    after every step. The projection's eigendecompositions also give each
+    iterate's log-determinant, tr P and the next step's (S - P)^-1, so a
+    step costs two eigh and no other factorization. ``budget`` caps the
+    total steps; ``start`` is an optional (s_list, p_list) starting
+    point. Only instances with O <= 5 and K <= 3 are accepted. The
+    returned objective is joint_objective or ggl_objective at the
+    returned point.
     """
-    cov_stack, objective, subgrad, has_latent = _oracle_pieces(problem)
+    cov_stack, objective, value, subgrad, has_latent = _oracle_pieces(problem)
     k, o = cov_stack.shape[:2]
     if o > 5 or k > 3:
         raise InvalidInput(f"oracle accepts O <= 5 and K <= 3, got O={o}, K={k}")
@@ -561,9 +684,14 @@ def reference_oracle(problem, budget: int = 100_000, start=None) -> OracleSoluti
         p = np.stack([symmetrize(m) for m in _estimate_stack(start[1], cov_stack.shape, "start p")])
 
     def project(s, p):
+        """The projected (s, p), the eigenvalues and eigenvectors of S - P,
+        and the objective there."""
+        trace_p = np.zeros(k)
         if has_latent:
             g, q = np.linalg.eigh(p)
-            p = (q * np.maximum(g, 0.0)[:, None, :]) @ np.swapaxes(q, 1, 2)
+            g = np.maximum(g, 0.0)
+            p = (q * g[:, None, :]) @ np.swapaxes(q, 1, 2)
+            trace_p = g.sum(axis=1)
         r = s - p
         g, q = np.linalg.eigh(r)
         bad = g[:, 0] < _PD_FLOOR
@@ -571,30 +699,28 @@ def reference_oracle(problem, budget: int = 100_000, start=None) -> OracleSoluti
             g = np.maximum(g, _PD_FLOOR)
             r = (q * g[:, None, :]) @ np.swapaxes(q, 1, 2)
             s = np.where(bad[:, None, None], p + r, s)
-        return s, p
+        return s, p, g, q, value(s, p, np.log(g).sum(axis=1), trace_p)
 
-    s, p = project(s, p)
-    best_s, best_p = s.copy(), p.copy()
-    best_val = objective(s, p)
-    step = 0.5
-    spent = 0
-    while spent < budget and step > 1e-10:
+    s, p, g, q, best_val = project(s, p)
+    # iterates are replaced, never written into, so the best one is kept by reference
+    best = s, p, g, q
+    step, spent, stalled = 0.5, 0, False
+    while spent < budget and step > 1e-10 and not stalled:
         for _ in range(min(800, budget - spent)):
             spent += 1
-            rinv = np.linalg.inv(s - p)
+            rinv = (q / g[:, None, :]) @ np.swapaxes(q, 1, 2)
             rinv = 0.5 * (rinv + np.swapaxes(rinv, 1, 2))
             gs, gp = subgrad(s, p, rinv)
             gn = float(np.sqrt(np.sum(gs * gs) + np.sum(gp * gp)))
             if gn < 1e-14:
-                return OracleSolution(tuple(best_s), tuple(best_p), best_val)
+                stalled = True
+                break
             s = s - step * gs / gn
             if has_latent:
                 p = p - step * gp / gn
-            s, p = project(s, p)
-            val = objective(s, p)
+            s, p, g, q, val = project(s, p)
             if val < best_val:
-                best_val = val
-                best_s, best_p = s.copy(), p.copy()
-        s, p = best_s.copy(), best_p.copy()
+                best_val, best = val, (s, p, g, q)
+        s, p, g, q = best
         step *= 0.7
-    return OracleSolution(tuple(best_s), tuple(best_p), best_val)
+    return OracleSolution(tuple(best[0]), tuple(best[1]), objective(best[0], best[1]))

@@ -304,13 +304,14 @@ def test_selection_walks_warm_rho_paths(monkeypatch):
     solves = []
     solve_joint = experiments._solve_joint
 
-    def recording(covs, w, solver_cfg, start):
-        s_hat, p_hat, run = solve_joint(covs, w, solver_cfg, start)
-        solves.append((w.rho[0], start is None, run.iterations))
-        return s_hat, p_hat, run
+    def recording(covs, weights, solver_cfg, starts):
+        s_hat, p_hat, runs = solve_joint(covs, weights, solver_cfg, starts)
+        solves.extend((w.rho[0], start is None, run.iterations)
+                      for w, start, run in zip(weights, starts, runs))
+        return s_hat, p_hat, runs
 
     monkeypatch.setattr(experiments, "_solve_joint", recording)
-    errors, unconverged = experiments._select_cell(cfg, 0, "Joint")
+    errors, unconverged, iterations = experiments._select_cell(cfg, 0, "Joint")
     assert unconverged == 0 and len(errors) == len(cfg.rho_grid)
     assert [rho for rho, _, _ in solves] == sorted(cfg.rho_grid, reverse=True)
     assert [cold for _, cold, _ in solves] == [True] + [False] * (len(solves) - 1)
@@ -318,7 +319,7 @@ def test_selection_walks_warm_rho_paths(monkeypatch):
     covs, _ = realize_cell(cfg, 0, 12)
     cold = sum(solve_joint_hidden(covs, PenaltyWeights.tied(2, rho, 0.01, rho, 0.01),
                                   cfg.solver_config()).iterations for rho in cfg.rho_grid)
-    assert warm <= 1.1 * 225 and warm < cold
+    assert warm <= 1.1 * 225 and warm < cold and iterations == warm
 
 
 def test_unconverged_solves_are_counted(tmp_path):
@@ -331,6 +332,47 @@ def test_unconverged_solves_are_counted(tmp_path):
     # criterion 9's config: every solve converges within its 300 iterations
     result = run_experiment(tiny_tc1(base_seed=13))
     assert (result.selection_unconverged, result.mc_unconverged) == (0, 0)
+
+
+def test_iterations_are_counted(tmp_path):
+    # at max_iters = 2 every solve runs 2 iterations. Selection solves GL at
+    # 2 rho x K layers, GGL at 4 points, LVGL at 4 points x K and Joint at
+    # 4 points: 14 solves at K = 1 and 20 at K = 2. Each of the 2 x 2 Monte
+    # Carlo cells solves GL and LVGL per layer and GGL and Joint once.
+    result = run_experiment(tiny_tc1(max_iters=2))
+    assert (result.selection_iterations, result.mc_iterations) == (2 * 34, 2 * 20)
+    body = open(write_manifest(result, tmp_path / "capped.csv"), encoding="utf-8").read()
+    assert "admm_iterations = selection 68, monte_carlo 40\n" in body
+
+
+@pytest.mark.parametrize("method", ["GGL", "LVGL", "Joint"])
+def test_selection_split_by_the_memory_cap_gives_the_same_errors(monkeypatch, method):
+    cfg = tiny_tc1(k_sweep=(2,), beta_grid=(0.1, 0.3, 0.5), eta_grid=(0.0, 1.0))
+    whole = experiments._select_cell(cfg, 0, method)
+    batches = []
+    solve = experiments._solve
+    monkeypatch.setattr(experiments, "_solve", lambda method, covs, hps, *rest:
+                        batches.append(len(hps)) or solve(method, covs, hps, *rest))
+    # room for one (2, 9, 9) stack or two one-layer problems per batch
+    monkeypatch.setattr(experiments, "_BATCH_BYTES", 2 * 9 * 9 * 8 + 7)
+    assert experiments._select_cell(cfg, 0, method) == whole
+    assert max(batches) == (2 if method == "LVGL" else 1)
+    assert len(batches) > len(cfg.rho_grid)
+
+
+@pytest.mark.parametrize("experiment, over", [
+    ("tc1", dict(k_sweep=(6,))),
+    ("tc2", dict(m_sweep=(50,))),
+    ("tc3", dict(o_sweep=(31,), synthetic_substitute=True)),
+])
+def test_presets_select_in_one_batch_per_rho_step(monkeypatch, experiment, over):
+    cfg = build_config(experiment, {}, n_realizations=1, max_iters=1, **over)
+    calls = []
+    solve = experiments._solve
+    monkeypatch.setattr(experiments, "_solve", lambda *args: calls.append(args[0]) or solve(*args))
+    for method in METHODS:
+        experiments._select_cell(cfg, 0, method)
+    assert calls == [m for m in METHODS for _ in cfg.rho_grid]
 
 
 def test_pool_is_capped_at_the_cpu_count(monkeypatch):

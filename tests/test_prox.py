@@ -182,6 +182,37 @@ def test_prox_logdet_stack_equals_per_matrix_calls(o):
 
 
 @pytest.mark.parametrize("o", [1, 5, 18])
+def test_per_matrix_weights_equal_per_matrix_calls(o):
+    rng = np.random.default_rng(20 + o)
+    a = np.stack([[sym(rng, o) for _ in range(3)] for _ in range(2)])   # (2, 3, o, o)
+    c = np.stack([[sym(rng, o, 0.5) for _ in range(3)] for _ in range(2)])
+    tau = np.array([[0.5, 1.7, 4.0], [1.0, 2.0, 8.0]])
+    lam = np.array([[0.0, 0.2, 0.5], [0.1, 1.0, 3.0]])
+    logdet, soft = prox_logdet(a, c, tau), soft_threshold(a, lam)
+    for i in range(2):
+        for j in range(3):
+            assert np.array_equal(logdet[i, j], prox_logdet(a[i, j], c[i, j], tau[i, j]))
+            assert np.array_equal(soft[i, j], soft_threshold(a[i, j], lam[i, j]))
+    with pytest.raises(InvalidInput):
+        prox_logdet(a, c, tau[0])          # not one step per matrix
+    with pytest.raises(InvalidInput):
+        soft_threshold(a, np.array([[0.1, -0.1, 0.1]] * 2))
+
+
+def test_fused_stack_per_column_weights_equal_per_column_calls():
+    # tied columns: at pair weight 0 the isotonic path would round the mean
+    # of the ties (0.1 + 0.1 + 0.1) / 3 above 0.1; soft-thresholding is exact
+    v = np.array([[0.1, 0.1, -2.0, 0.7], [0.1, 0.4, 1.0, 0.7], [0.1, -0.3, 0.5, 0.7]])
+    lam = np.array([0.0, 0.05, 0.3, 0.0])
+    pair = np.array([0.0, 0.2, 0.0, 0.5])
+    out = fused_prox_stack(v, lam, pair)
+    for col in range(v.shape[1]):
+        assert np.array_equal(out[:, col], fused_prox_stack(v[:, col:col + 1], lam[col],
+                                                            pair[col])[:, 0])
+    assert np.array_equal(out[:, 0], v[:, 0])
+
+
+@pytest.mark.parametrize("o", [1, 5, 18])
 def test_prox_psd_trace_stack_equals_per_matrix_calls(o):
     rng = np.random.default_rng(10 + o)
     a = np.stack([sym(rng, o, 2.0) for _ in range(4)])

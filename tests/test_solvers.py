@@ -325,7 +325,7 @@ def test_admm_iteration_ceilings(monkeypatch, measured, solve):
     monkeypatch.setattr(solvers, "_admm", lambda *args: runs.append(admm(*args)) or runs[-1])
     covs = random_tiny_instance(np.random.default_rng(0), o=4, k=2, m=120)
     solve(covs, SolverConfig(max_iters=20_000, tol_primal=1e-7, tol_dual=1e-7))
-    (_, run), = runs
+    (_, (run,)), = runs
     assert run.converged and run.iterations <= 1.1 * measured
 
 
@@ -337,15 +337,113 @@ def test_joint_restarted_from_its_end_state_stops_at_once(tol):
     covs, _ = realize_cell(cfg, 0, 12)
     w = PenaltyWeights.tied(2, 0.1, 0.2, 0.05, 0.1)
     solver_cfg = SolverConfig(max_iters=2000, tol_primal=tol, tol_dual=tol)
-    s_hat, p_hat, end = solvers._solve_joint(covs.covs, w, solver_cfg)
+    (s_hat,), (p_hat,), (end,) = solvers._solve_joint(covs.covs, (w,), solver_cfg, (None,))
     public = solve_joint_hidden(covs, w, solver_cfg)
     assert end.converged and end.iterations > 10
     assert all(np.array_equal(a, b) for a, b in zip((*s_hat, *p_hat),
                                                     public.s_hat + public.p_hat))
     duals = [u.copy() for u in end.duals]
-    _, _, again = solvers._solve_joint(covs.covs, w, solver_cfg, end)
+    _, _, (again,) = solvers._solve_joint(covs.covs, (w,), solver_cfg, (end,))
     assert again.converged and again.iterations == 1
     assert all(np.array_equal(u, v) for u, v in zip(end.duals, duals))   # start is not modified
+
+
+# ---------------------------------------------------------------------------
+# the problem axis: a batch of problems gives each one the bits of its solve alone
+# ---------------------------------------------------------------------------
+
+def _same_bits(batch, alone):
+    """The estimates and AdmmRun of one problem of a batch equal those of
+    its solve alone, bit for bit."""
+    (estimates, run), (estimates_alone, run_alone) = batch, alone
+    assert all(np.array_equal(a, b) for a, b in zip(estimates, estimates_alone))
+    assert (run.iterations, run.converged, run.sigma) == \
+        (run_alone.iterations, run_alone.converged, run_alone.sigma)
+    assert np.array_equal(run.residual_history, run_alone.residual_history)
+    for a, b in zip(run.z + run.duals, run_alone.z + run_alone.duals):
+        assert np.array_equal(a, b)
+
+
+def _held_out_cell():
+    from ggm.experiments import build_config, realize_cell
+
+    cfg = build_config("tc1", {}, n=10, p=0.2, n_hidden=1, k_sweep=(2,), m=50,
+                       n_realizations=1, base_seed=7)
+    return realize_cell(cfg, 0, 1)[0].covs
+
+
+def test_joint_batch_problems_equal_their_solves_alone():
+    covs = _held_out_cell()
+    # eta 0 gives pair weights 0 next to non-zero ones; at 120 iterations
+    # the problems stop at 93, 79 and 49 and one is capped
+    ws = [PenaltyWeights.tied(2, r, b, r * e, b * e)
+          for r, b, e in [(0.3, 0.5, 1.0), (0.05, 0.1, 0.0), (0.01, 0.02, 2.0), (0.1, 0.3, 0.5)]]
+    cfg = SolverConfig(max_iters=120, tol_primal=1e-4, tol_dual=1e-4)
+    s_hat, p_hat, runs = solvers._solve_joint(covs, ws, cfg, (None,) * len(ws))
+    assert [(run.iterations, run.converged) for run in runs] == \
+        [(93, True), (79, True), (120, False), (49, True)]
+    for i, w in enumerate(ws):
+        (s1,), (p1,), (run1,) = solvers._solve_joint(covs, (w,), cfg, (None,))
+        _same_bits(((s_hat[i], p_hat[i]), runs[i]), ((s1, p1), run1))
+
+
+def test_ggl_batch_problems_equal_their_solves_alone():
+    covs = _held_out_cell()
+    lambda1, lambda2 = [0.3, 0.05, 0.01, 0.1], [0.0, 0.1, 0.02, 0.0]
+    cfg = SolverConfig(max_iters=35, tol_primal=1e-4, tol_dual=1e-4)
+    s_hat, runs = solvers._solve_ggl(covs, lambda1, lambda2, cfg, (None,) * 4)
+    assert [(run.iterations, run.converged) for run in runs] == \
+        [(34, True), (35, False), (20, True), (31, True)]
+    for i, (l1, l2) in enumerate(zip(lambda1, lambda2)):
+        (s1,), (run1,) = solvers._solve_ggl(covs, [l1], [l2], cfg, (None,))
+        _same_bits(((s_hat[i],), runs[i]), ((s1,), run1))
+
+
+def test_batch_of_one_layer_problems_over_the_einsum_buffer():
+    # K = 1, O = 91: each problem's blocks hold 8,281 > 8,192 entries, past
+    # the iterator buffer that a 2-D einsum sums each row in
+    rng = np.random.default_rng(91)
+    covs = np.stack([random_pd_matrix(rng, 91) for _ in range(3)])[:, None]
+    ws = [PenaltyWeights.tied(1, r, b) for r, b in [(0.1, 0.2), (0.3, 0.1), (0.05, 0.5)]]
+    cfg = SolverConfig(max_iters=4)
+    s_hat, p_hat, runs = solvers._solve_joint(covs, ws, cfg, (None,) * 3)
+    for i, w in enumerate(ws):
+        (s1,), (p1,), (run1,) = solvers._solve_joint(covs[i], (w,), cfg, (None,))
+        _same_bits(((s_hat[i], p_hat[i]), runs[i]), ((s1, p1), run1))
+
+
+@pytest.mark.parametrize("size", [8_192, 8_193, 2 * 8_192 + 5])
+def test_norm_of_each_problem_is_its_norm_alone(size):
+    rng = np.random.default_rng(size)
+    blocks = [rng.standard_normal((6, size)) * rng.uniform(0.1, 10.0, (6, 1)) for _ in range(2)]
+    norms = solvers._norm(blocks)
+    for p in range(6):
+        alone = np.sqrt(sum(np.einsum("i,i->", b[p], b[p]) for b in blocks))
+        assert norms[p] == alone
+
+
+def test_batch_warm_starts_equal_their_solves_alone():
+    covs = _held_out_cell()
+    cfg = SolverConfig(max_iters=300, tol_primal=1e-4, tol_dual=1e-4)
+    first = [PenaltyWeights.tied(2, 0.3, b, 0.3 * e, b * e) for b, e in [(0.1, 1.0), (0.5, 0.0)]]
+    _, _, starts = solvers._solve_joint(covs, first, cfg, (None, None))
+    kept = [[a.copy() for a in run.z + run.duals] for run in starts]
+    then = [PenaltyWeights.tied(2, 0.1, b, 0.1 * e, b * e) for b, e in [(0.1, 1.0), (0.5, 0.0)]]
+    s_hat, p_hat, runs = solvers._solve_joint(covs, then, cfg, starts)
+    for i, w in enumerate(then):
+        (s1,), (p1,), (run1,) = solvers._solve_joint(covs, (w,), cfg, (starts[i],))
+        _same_bits(((s_hat[i], p_hat[i]), runs[i]), ((s1, p1), run1))
+    for run, arrays in zip(starts, kept):   # the start runs are not modified
+        assert all(np.array_equal(a, b) for a, b in zip(run.z + run.duals, arrays))
+    cold = solvers._solve_joint(covs, then, cfg, (None, None))[2]
+    assert sum(run.iterations for run in runs) < sum(run.iterations for run in cold)
+
+    lambda1 = [0.1, 0.05]
+    _, starts = solvers._solve_ggl(covs, [0.3, 0.3], [0.1, 0.0], cfg, (None, None))
+    s_hat, runs = solvers._solve_ggl(covs, lambda1, [0.1, 0.0], cfg, starts)
+    for i, l2 in enumerate([0.1, 0.0]):
+        (s1,), (run1,) = solvers._solve_ggl(covs, [lambda1[i]], [l2], cfg, (starts[i],))
+        _same_bits(((s_hat[i],), runs[i]), ((s1,), run1))
 
 
 def test_joint_rejects_mismatched_layers():
