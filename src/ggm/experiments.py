@@ -4,15 +4,19 @@ realization, and CSV emission of the per-sweep mean errors.
 
 Every cell (sweep value, realization) derives its seeds from
 (base_seed, sweep index, realization index) only, so all four methods
-see identical data. Selection is one task per sweep value x method on
-the held-out cell. Those tasks and the Monte Carlo cells run in one pool
-of `workers` processes, each on one BLAS thread, and the parent reduces
-the selection in grid order, so reruns are byte-identical and no result
-depends on the worker count. A selection task walks its grid as
-warm-started rho paths, all paths of a rho step solved as one batch of
-problems; every Monte Carlo solve starts cold, so it equals the public
+see identical data. Both phases map one task function, _solve_task,
+over one pool of `workers` processes, each on one BLAS thread. A task
+realizes its cells once and solves each job, a method at a list of
+hyperparameter tuples laid out as rho steps, on every cell: the tuples
+are walked as warm-started rho paths, and each step is one batch of
+problems across paths and cells. Selection is one task per sweep value
+x method on the held-out cell at the method's whole grid, and the parent
+reduces its errors in grid order. The Monte Carlo phase is one task per
+chunk of a sweep value's realizations, with one job per method at its
+selected tuple: a single step, solved cold, so it equals the public
 solver's output. A batch's problems get the bits of their solves alone,
-and batches are capped in memory (_BATCH_BYTES).
+and batches are capped in memory (_BATCH_BYTES), so reruns are
+byte-identical and no result depends on the worker count.
 """
 import ctypes
 import math
@@ -62,9 +66,10 @@ _UNREAD = {
     "tc3": ("n_hidden", "k_sweep", "m_sweep"),
 }
 # Bound on the bytes of one (B, K, o, o) stack of a batched solve: a task's
-# problems are solved in batches of at most this size. At 2**20 a selection
-# task of the tc1, tc2 or tc3 preset is one batch per rho step (Joint at
-# K = 6, O = 18: 15 problems, 0.23 MiB; at K = 4, O = 31: 0.44 MiB).
+# problems are solved in batches of at most this size. At 2**20 a task of
+# the tc1, tc2 or tc3 preset is one batch per rho step (a Joint selection
+# step at K = 6, O = 18: 15 problems, 0.23 MiB; at K = 4, O = 31: 0.44 MiB;
+# a Monte Carlo task of all 20 realizations at K = 4, O = 31: 0.59 MiB).
 _BATCH_BYTES = 2 ** 20
 # OpenBLAS's thread-count setter under the names of its plain, 64-bit-index
 # and numpy/scipy-wheel builds.
@@ -346,103 +351,93 @@ def realize_cell(cfg: ExperimentConfig, sweep_index: int, realization: int):
 # ---------------------------------------------------------------------------
 
 def _grid(cfg: ExperimentConfig, method: str) -> list:
-    """A method's candidate hyperparameter tuples, in selection order. The
-    first entry is the outer loop, over rho_grid."""
+    """A method's candidate hyperparameter tuples as rho steps: step i holds
+    one tuple per path, rho_grid[i] (GL's lambda, GGL's lambda1) first and
+    the path's other hyperparameters after it. Read row by row, the steps
+    are the selection order."""
     rho, beta, eta = cfg.rho_grid, cfg.beta_grid, cfg.eta_grid
-    return {
-        "GL": [(lam,) for lam in rho],
-        "GGL": [(l1, l2) for l1 in rho for l2 in rho],
-        "LVGL": [(r, b) for r in rho for b in beta],
-        "Joint": [(r, b, e) for r in rho for b in beta for e in eta],
-    }[method]
+    paths = {"GL": [()], "GGL": [(l2,) for l2 in rho], "LVGL": [(b,) for b in beta],
+             "Joint": [(b, e) for b in beta for e in eta]}[method]
+    return [[(r, *rest) for rest in paths] for r in rho]
 
 
 def _solve(method: str, covs, hps, solver_cfg: SolverConfig, starts):
-    """One batched solve of a method: problem p at the hyperparameters
-    hps[p], started from starts[p] (None: cold). covs is the checked
-    (K, o, o) stack that every problem shares (GGL, Joint) or a (B, 1, o,
-    o) stack of one layer per problem (GL, LVGL). Returns (S_O stacks,
-    the AdmmRun of each problem)."""
+    """One batched solve of a method: problem p on the covariance stack
+    covs[p] of the (B, K, o, o) stack covs (K = 1 for GL and LVGL), at the
+    hyperparameters hps[p], started from starts[p] (None: cold). Returns
+    (S_O stacks, the AdmmRun of each problem)."""
     if method in ("GL", "GGL"):   # GL is GGL at one layer, lambda2 = 0
         lambda2 = [hp[1] for hp in hps] if method == "GGL" else np.zeros(len(hps))
         return _solve_ggl(covs, [hp[0] for hp in hps], lambda2, solver_cfg, starts)
     weights = []
     for hp in hps:
         rho, beta, eta = hp if method == "Joint" else (*hp, 0.0)   # LVGL is Joint at K = 1
-        weights.append(PenaltyWeights.tied(covs.shape[-3], rho, beta, rho * eta, beta * eta))
+        weights.append(PenaltyWeights.tied(covs.shape[1], rho, beta, rho * eta, beta * eta))
     s_hat, _, runs = _solve_joint(covs, weights, solver_cfg, starts)
     return s_hat, runs
 
 
-def _estimate(method: str, covs, hps, solver_cfg: SolverConfig, starts=None):
-    """One method's S_O estimates on the ObservedCovariances covs at each
-    hyperparameter tuple of hps, one list of K layers per tuple, and the
-    AdmmRuns of each tuple's solves, to start the next call from. starts
-    are such runs (None: cold, as the public solvers start).
+def _estimate(method: str, covs, hps, solver_cfg: SolverConfig, starts):
+    """One method's S_O estimates at len(hps) points, point p on the
+    covariance stack covs[p] of the (P, K, o, o) covs at the tuple hps[p]:
+    one list of K layers per point, and the AdmmRuns of each point's
+    solves, to start the next call from. starts are such runs (None:
+    cold, as the public solvers start).
 
-    GGL and Joint solve the stack once per tuple, GL and LVGL each layer.
-    All these problems are solved together, in batches whose (B, K, o, o)
-    stacks stay under _BATCH_BYTES; each problem's bits are those of its
-    solve alone, so the result does not depend on the split."""
-    stack = covs.covs
+    GGL and Joint solve a point's stack as one problem, GL and LVGL each
+    of its layers as a one-layer problem. All these problems are solved
+    together, in batches whose (B, K, o, o) stacks stay under
+    _BATCH_BYTES; each problem's bits are those of its solve alone, so
+    the result does not depend on the split."""
     per_layer = method in ("GL", "LVGL")
-    layers = range(len(stack)) if per_layer else (None,)
-    problems = [(hp, layer) for hp in hps for layer in layers]
-    flat_starts = [run for runs in starts for run in runs] if starts else [None] * len(problems)
-    size = max(1, _BATCH_BYTES // (stack[0].nbytes if per_layer else stack.nbytes))
+    group = covs.shape[1] if per_layer else 1
+    if per_layer:   # point p's layers are problems p * K .. p * K + K - 1
+        covs = covs.reshape(-1, 1, *covs.shape[2:])
+    hps = [hp for hp in hps for _ in range(group)]
+    flat_starts = [run for runs in starts for run in runs] if starts else [None] * len(hps)
+    size = max(1, _BATCH_BYTES // covs[0].nbytes)
     estimates, runs = [], []
-    for lo in range(0, len(problems), size):
-        batch = problems[lo:lo + size]
-        part = stack[[layer for _, layer in batch]][:, None] if per_layer else stack
-        s_hat, batch_runs = _solve(method, part, [hp for hp, _ in batch], solver_cfg,
+    for lo in range(0, len(hps), size):
+        s_hat, batch_runs = _solve(method, covs[lo:lo + size], hps[lo:lo + size], solver_cfg,
                                    flat_starts[lo:lo + size])
         estimates.extend(s_hat)
         runs.extend(batch_runs)
-    group = len(layers)
     return ([[s for layer_stack in estimates[i:i + group] for s in layer_stack]
-             for i in range(0, len(problems), group)],
-            [tuple(runs[i:i + group]) for i in range(0, len(problems), group)])
+             for i in range(0, len(hps), group)],
+            [tuple(runs[i:i + group]) for i in range(0, len(hps), group)])
 
 
-def _score_cell(cfg: ExperimentConfig, sweep_index: int, realization: int, jobs):
-    """Realize one Monte Carlo cell once and solve each (method, hp) job
-    cold: (the error of each job, the number of jobs that did not converge,
-    the ADMM iterations of all their solves)."""
-    covs, truths = realize_cell(cfg, sweep_index, realization)
+def _solve_task(cfg: ExperimentConfig, sweep_index: int, realizations, jobs):
+    """Realize the cells (sweep_index, r), r in realizations, once and
+    solve each (method, steps) job on every cell, steps laid out as _grid
+    lays them out. Returns, per job, the errors (cells, tuples) with the
+    steps read row by row, the number of (cell, tuple) points with a solve
+    that did not converge, and the ADMM iterations of all their solves.
+
+    Each cell's paths are walked by position, from the step of largest
+    rho down: a path's first solve starts cold and each later one where
+    its previous one ended (Friedman, Hastie & Tibshirani, JSS 2010). All
+    paths of all cells take each rho step together, as one _estimate
+    call, so a job of one step is solved cold, as the public solvers do."""
+    cells = [realize_cell(cfg, sweep_index, r) for r in realizations]
+    stack = np.stack([covs.covs for covs, _ in cells])   # (cells, K, o, o)
     solver_cfg = cfg.solver_config()
-    errors, unconverged, iterations = [], 0, 0
-    for method, hp in jobs:
-        (estimates,), (runs,) = _estimate(method, covs, [hp], solver_cfg)
-        errors.append(mean_normalized_error(estimates, truths))
-        unconverged += not all(run.converged for run in runs)
-        iterations += sum(run.iterations for run in runs)
-    return errors, unconverged, iterations
-
-
-def _select_cell(cfg: ExperimentConfig, sweep_index: int, method: str):
-    """One method's held-out errors over _grid(cfg, method), in grid order,
-    the number of grid points that did not converge, and the ADMM
-    iterations of all their solves.
-
-    The grid is walked as paths that fix every hyperparameter but rho (GL's
-    lambda, GGL's lambda1), each from its largest rho down. A path's first
-    solve starts cold and each later one where the previous one ended
-    (Friedman, Hastie & Tibshirani, JSS 2010). All paths take each rho step
-    together, as one _estimate call."""
-    covs, truths = realize_cell(cfg, sweep_index, cfg.n_realizations)
-    solver_cfg = cfg.solver_config()
-    grid = _grid(cfg, method)
-    n_paths = len(grid) // len(cfg.rho_grid)
-    descending = sorted(range(len(cfg.rho_grid)), key=lambda r: -cfg.rho_grid[r])
-    errors, unconverged, iterations, runs = [None] * len(grid), 0, 0, None
-    for r in descending:
-        points = range(r * n_paths, (r + 1) * n_paths)
-        estimates, runs = _estimate(method, covs, [grid[p] for p in points], solver_cfg, runs)
-        for point, layers, point_runs in zip(points, estimates, runs):
-            errors[point] = mean_normalized_error(layers, truths)
-            unconverged += not all(run.converged for run in point_runs)
-            iterations += sum(run.iterations for run in point_runs)
-    return errors, unconverged, iterations
+    out = []
+    for method, steps in jobs:
+        n_paths = len(steps[0])
+        point_covs = np.repeat(stack, n_paths, axis=0)
+        errors = np.empty((len(cells), len(steps), n_paths))
+        unconverged, iterations, runs = 0, 0, None
+        for i in sorted(range(len(steps)), key=lambda i: -steps[i][0][0]):
+            estimates, runs = _estimate(method, point_covs, steps[i] * len(cells), solver_cfg,
+                                        runs)
+            for point, (layers, point_runs) in enumerate(zip(estimates, runs)):
+                cell, path = divmod(point, n_paths)
+                errors[cell, i, path] = mean_normalized_error(layers, cells[cell][1])
+                unconverged += not all(run.converged for run in point_runs)
+                iterations += sum(run.iterations for run in point_runs)
+        out.append((errors.reshape(len(cells), -1), unconverged, iterations))
+    return out
 
 
 def _one_blas_thread():
@@ -466,11 +461,12 @@ def _one_blas_thread():
 
 def select_params(cfg: ExperimentConfig, held_out_errors: dict) -> MethodParams:
     """Reduce one sweep value's held-out errors, which map each method to its
-    errors over _grid(cfg, method), to the first grid point of least error."""
+    errors over _grid(cfg, method) read row by row, to the first grid point
+    of least error."""
     chosen = []
     for method in METHODS:
         best_err, best_hp = np.inf, None
-        for hp, err in zip(_grid(cfg, method), held_out_errors[method]):
+        for hp, err in zip(sum(_grid(cfg, method), []), held_out_errors[method]):
             if err < best_err:
                 best_err, best_hp = err, hp
         chosen.extend(best_hp)
@@ -489,34 +485,40 @@ def run_experiment(cfg: ExperimentConfig) -> RunResult:
     processes, at most one per CPU, each on one BLAS thread."""
     start = time.time()
     sweep_indices = range(len(cfg.sweep))
-    with ProcessPoolExecutor(min(cfg.workers, os.cpu_count() or 1),
-                             initializer=_one_blas_thread) as pool:
+    n_workers = min(cfg.workers, os.cpu_count() or 1)
+    with ProcessPoolExecutor(n_workers, initializer=_one_blas_thread) as pool:
         # Joint's grid, then LVGL's, is most of the selection time: queue them first.
         selection = [(si, method) for method in reversed(METHODS) for si in sweep_indices]
-        held_out = list(pool.map(_select_cell, repeat(cfg), *zip(*selection)))
-        by_cell = {cell: errors for cell, (errors, _, _) in zip(selection, held_out)}
+        held_out = [jobs[0] for jobs in pool.map(
+            _solve_task, repeat(cfg), [si for si, _ in selection], repeat((cfg.n_realizations,)),
+            [[(method, _grid(cfg, method))] for _, method in selection])]
+        by_cell = {cell: errors[0] for cell, (errors, _, _) in zip(selection, held_out)}
         selected = {cfg.sweep[si]: select_params(
             cfg, {method: by_cell[si, method] for method in METHODS}) for si in sweep_indices}
         selection_seconds = time.time() - start
 
-        cells = [(si, r, [(method, selected[cfg.sweep[si]].hyperparameters(method))
-                          for method in METHODS])
-                 for si in sweep_indices for r in range(cfg.n_realizations)]
-        scores = list(pool.map(_score_cell, repeat(cfg), *zip(*cells)))
+        # chunks of one sweep value's realizations, enough for every worker
+        chunk = -(-cfg.n_realizations // n_workers)
+        scoring = [(si, range(lo, min(lo + chunk, cfg.n_realizations)),
+                    [(method, [[selected[cfg.sweep[si]].hyperparameters(method)]])
+                     for method in METHODS])
+                   for si in sweep_indices for lo in range(0, cfg.n_realizations, chunk)]
+        scores = list(pool.map(_solve_task, repeat(cfg), *zip(*scoring)))
 
     raw = np.empty((len(cfg.sweep), len(METHODS), cfg.n_realizations))
-    for (si, r, _), (errors, _, _) in zip(cells, scores):
-        raw[si, :, r] = errors
+    for (si, cells, _), jobs in zip(scoring, scores):
+        raw[si, :, cells.start:cells.stop] = [errors[:, 0] for errors, _, _ in jobs]
+    scored = [job for jobs in scores for job in jobs]
     runtime = time.time() - start
     return RunResult(
         table=ResultTable(tuple(cfg.sweep), raw.mean(axis=2)),
         raw_errors=raw,
         selected=selected,
-        mc_invocations=len(METHODS) * len(cells),
-        selection_invocations=sum(len(errors) for errors, _, _ in held_out),
-        mc_unconverged=sum(n for _, n, _ in scores),
+        mc_invocations=sum(errors.size for errors, _, _ in scored),
+        selection_invocations=sum(errors.size for errors, _, _ in held_out),
+        mc_unconverged=sum(n for _, n, _ in scored),
         selection_unconverged=sum(n for _, n, _ in held_out),
-        mc_iterations=sum(n for _, _, n in scores),
+        mc_iterations=sum(n for _, _, n in scored),
         selection_iterations=sum(n for _, _, n in held_out),
         runtime_seconds=runtime,
         selection_seconds=selection_seconds,

@@ -33,7 +33,8 @@ graphical lasso (LVGL) is the joint estimator at K = 1.
 Every public solver, both objectives and the reference oracle pass the
 covariances (an ObservedCovariances or a sequence of matrices) through
 ObservedCovariances.of, the one place that checks them and stacks them
-as (K, o, o); the engine entry points take that checked stack.
+as (K, o, o); the engine entry points take a (B, K, o, o) stack of such
+checked stacks, one per problem (the public solvers pass covs[None]).
 
 A slow projected-subgradient reference solver for tiny instances is
 provided as an independent check of the ADMM solutions.
@@ -445,29 +446,21 @@ def solve_joint_hidden(covs, w: PenaltyWeights, cfg: SolverConfig = SolverConfig
         fused prox, which for non-uniform weights enumerates 2^K cuts.
     """
     observed = ObservedCovariances.of(covs)
-    s_hat, p_hat, (run,) = _solve_joint(observed.covs, (w,), cfg, (None,))
+    s_hat, p_hat, (run,) = _solve_joint(observed.covs[None], (w,), cfg, (None,))
     return JointEstimate(tuple(s_hat[0]), tuple(p_hat[0]),
                          joint_objective(s_hat[0], p_hat[0], observed, w),
                          run.iterations, run.converged, run.residual_history)
 
 
-def _problem_covs(cov_stack, on, k, o):
-    """The covariances of the problems on: a (B, K, o, o) stack holds one
-    stack per problem, a (K, o, o) one is shared (a broadcast view)."""
-    if cov_stack.ndim == 4:
-        return cov_stack[on]
-    return np.broadcast_to(cov_stack, (on.size, k, o, o))
-
-
 def _solve_joint(cov_stack, weights, cfg: SolverConfig, starts):
     """solve_joint_hidden's estimates for B problems at once: one
     PenaltyWeights per problem in weights, and one start per problem in
-    starts (None: cold, else the AdmmRun to continue). cov_stack is a
-    checked, read-only (K, o, o) stack that every problem shares
-    (ObservedCovariances.covs) or a (B, K, o, o) stack of one per problem.
-    Returns (S stack, P stack, runs): (B, K, o, o) each and one AdmmRun
-    per problem, each problem's bits those of its solve alone."""
-    k, o = cov_stack.shape[-3], cov_stack.shape[-1]
+    starts (None: cold, else the AdmmRun to continue). cov_stack is the
+    (B, K, o, o) stack of each problem's checked covariances
+    (ObservedCovariances.covs). Returns (S stack, P stack, runs):
+    (B, K, o, o) each and one AdmmRun per problem, each problem's bits
+    those of its solve alone."""
+    _, k, o, _ = cov_stack.shape
     for w in weights:
         if w.n_layers != k:
             raise InvalidInput(f"weights describe {w.n_layers} layers but {k} covariances given")
@@ -475,7 +468,7 @@ def _solve_joint(cov_stack, weights, cfg: SolverConfig, starts):
                                       for f in ("rho", "beta", "rho_pair", "beta_pair"))
 
     def steps(on):
-        covs = _problem_covs(cov_stack, on, k, o)
+        covs = cov_stack[on]
         s_fused = symmetric_fused_prox(rho[on], rho_pair[on], o, False)
         p_fused = symmetric_fused_prox(np.zeros((on.size, k)), beta_pair[on], o, True)
         beta_on = beta[on]
@@ -520,7 +513,8 @@ def solve_ggl(covs, lambda1: float, lambda2: float, cfg: SolverConfig = SolverCo
     (lambda2) on each off-diagonal entry; the prox of the group term is
     a blockwise group soft-threshold applied after the elementwise one.
     """
-    s_hat, _ = _solve_ggl(ObservedCovariances.of(covs).covs, [lambda1], [lambda2], cfg, (None,))
+    s_hat, _ = _solve_ggl(ObservedCovariances.of(covs).covs[None], [lambda1], [lambda2], cfg,
+                          (None,))
     return list(s_hat[0])
 
 
@@ -533,11 +527,11 @@ def _solve_ggl(cov_stack, lambda1, lambda2, cfg: SolverConfig, starts):
     lambda1, lambda2 = np.asarray(lambda1, dtype=float), np.asarray(lambda2, dtype=float)
     if not np.all((0 <= lambda1) & (lambda1 < np.inf) & (0 <= lambda2) & (lambda2 < np.inf)):
         raise InvalidInput("lambda1 and lambda2 must be finite and nonnegative")
-    k, o = cov_stack.shape[-3], cov_stack.shape[-1]
+    _, k, o, _ = cov_stack.shape
     diag = np.eye(o, dtype=bool)
 
     def steps(on):
-        covs = _problem_covs(cov_stack, on, k, o)
+        covs = cov_stack[on]
         l1, l2 = lambda1[on], lambda2[on]
 
         def z_step(t, sigma):

@@ -264,11 +264,16 @@ def test_tc1_rerun_byte_identical(tmp_path):
 
 
 def test_tc1_worker_count_independent(tmp_path):
-    serial = run_experiment(tiny_tc1(workers=1))
-    pooled = run_experiment(tiny_tc1(workers=2))
-    assert np.array_equal(serial.raw_errors, pooled.raw_errors)
-    assert serial.selected == pooled.selected
-    assert serial.selection_invocations == pooled.selection_invocations
+    # at 3 realizations the Monte Carlo chunks are 3 cells at workers = 1
+    # and 2 + 1 cells at workers = 2
+    for n_realizations in (3, 2):
+        serial = run_experiment(tiny_tc1(workers=1, n_realizations=n_realizations))
+        pooled = run_experiment(tiny_tc1(workers=2, n_realizations=n_realizations))
+        assert np.array_equal(serial.raw_errors, pooled.raw_errors)
+        assert serial.selected == pooled.selected
+        for name in ("selection_invocations", "mc_invocations", "selection_iterations",
+                     "mc_iterations", "selection_unconverged", "mc_unconverged"):
+            assert getattr(serial, name) == getattr(pooled, name)
     pa, pb = tmp_path / "serial.csv", tmp_path / "pooled.csv"
     emit_csv(serial.table, pa)
     emit_csv(pooled.table, pb)
@@ -294,6 +299,14 @@ def test_monte_carlo_cells_equal_cold_public_solves():
             list(result.raw_errors[0, :, r])
 
 
+def _select(cfg, sweep_index, method):
+    """One selection task: (errors over the grid, unconverged, iterations)
+    of the method on the held-out cell."""
+    (job,) = experiments._solve_task(cfg, sweep_index, (cfg.n_realizations,),
+                                     [(method, experiments._grid(cfg, method))])
+    return job
+
+
 def test_selection_walks_warm_rho_paths(monkeypatch):
     # one Joint path (beta = 0.01, eta = 1) on the K = 2 held-out cell of the
     # tc1 preset at 12 realizations; its iterations were measured at 225 warm
@@ -311,8 +324,8 @@ def test_selection_walks_warm_rho_paths(monkeypatch):
         return s_hat, p_hat, runs
 
     monkeypatch.setattr(experiments, "_solve_joint", recording)
-    errors, unconverged, iterations = experiments._select_cell(cfg, 0, "Joint")
-    assert unconverged == 0 and len(errors) == len(cfg.rho_grid)
+    errors, unconverged, iterations = _select(cfg, 0, "Joint")
+    assert unconverged == 0 and errors.shape == (1, len(cfg.rho_grid))
     assert [rho for rho, _, _ in solves] == sorted(cfg.rho_grid, reverse=True)
     assert [cold for _, cold, _ in solves] == [True] + [False] * (len(solves) - 1)
     warm = sum(iterations for _, _, iterations in solves)
@@ -348,16 +361,35 @@ def test_iterations_are_counted(tmp_path):
 @pytest.mark.parametrize("method", ["GGL", "LVGL", "Joint"])
 def test_selection_split_by_the_memory_cap_gives_the_same_errors(monkeypatch, method):
     cfg = tiny_tc1(k_sweep=(2,), beta_grid=(0.1, 0.3, 0.5), eta_grid=(0.0, 1.0))
-    whole = experiments._select_cell(cfg, 0, method)
-    batches = []
+    grid = experiments._grid(cfg, method)
+    # a selection task walks the held-out cell's grid; a Monte Carlo task
+    # solves one tuple on 2 cells
+    tasks = [((cfg.n_realizations,), grid), (range(2), [[grid[0][-1]]])]
+    whole = [experiments._solve_task(cfg, 0, cells, [(method, steps)]) for cells, steps in tasks]
     solve = experiments._solve
-    monkeypatch.setattr(experiments, "_solve", lambda method, covs, hps, *rest:
-                        batches.append(len(hps)) or solve(method, covs, hps, *rest))
     # room for one (2, 9, 9) stack or two one-layer problems per batch
     monkeypatch.setattr(experiments, "_BATCH_BYTES", 2 * 9 * 9 * 8 + 7)
-    assert experiments._select_cell(cfg, 0, method) == whole
-    assert max(batches) == (2 if method == "LVGL" else 1)
-    assert len(batches) > len(cfg.rho_grid)
+    for (cells, steps), ((errors, *counts),) in zip(tasks, whole):
+        batches = []
+        monkeypatch.setattr(experiments, "_solve", lambda method, covs, hps, *rest:
+                            batches.append(len(hps)) or solve(method, covs, hps, *rest))
+        (split, *split_counts), = experiments._solve_task(cfg, 0, cells, [(method, steps)])
+        assert np.array_equal(split, errors) and split_counts == counts
+        assert max(batches) == (2 if method == "LVGL" else 1)
+        assert len(batches) > len(steps)
+
+
+def test_repeated_grid_values_are_separate_paths():
+    # the two beta = 0.1 paths (and the two rho = 0.2 steps) are walked by
+    # grid position, so every error is set and the duplicate paths agree
+    cfg = tiny_tc1(k_sweep=(2,), rho_grid=(0.05, 0.2, 0.2), beta_grid=(0.1, 0.1, 0.5))
+    once = tiny_tc1(k_sweep=(2,), rho_grid=(0.05, 0.2, 0.2), beta_grid=(0.1, 0.5))
+    for method in ("LVGL", "Joint"):
+        errors, _, _ = _select(cfg, 0, method)
+        errors = errors.reshape(len(cfg.rho_grid), len(cfg.beta_grid), -1)
+        assert np.array_equal(errors[:, 0], errors[:, 1])
+        alone, _, _ = _select(once, 0, method)
+        assert np.array_equal(errors[:, 1:], alone.reshape(errors[:, 1:].shape))
 
 
 @pytest.mark.parametrize("experiment, over", [
@@ -371,8 +403,13 @@ def test_presets_select_in_one_batch_per_rho_step(monkeypatch, experiment, over)
     solve = experiments._solve
     monkeypatch.setattr(experiments, "_solve", lambda *args: calls.append(args[0]) or solve(*args))
     for method in METHODS:
-        experiments._select_cell(cfg, 0, method)
+        _select(cfg, 0, method)
     assert calls == [m for m in METHODS for _ in cfg.rho_grid]
+    # a Monte Carlo task of all the preset's realizations: one call per method
+    cfg, calls[:] = build_config(experiment, {}, max_iters=1, **over), []
+    experiments._solve_task(cfg, 0, range(cfg.n_realizations),
+                            [(m, [experiments._grid(cfg, m)[0][:1]]) for m in METHODS])
+    assert calls == list(METHODS)
 
 
 def test_pool_is_capped_at_the_cpu_count(monkeypatch):

@@ -337,13 +337,13 @@ def test_joint_restarted_from_its_end_state_stops_at_once(tol):
     covs, _ = realize_cell(cfg, 0, 12)
     w = PenaltyWeights.tied(2, 0.1, 0.2, 0.05, 0.1)
     solver_cfg = SolverConfig(max_iters=2000, tol_primal=tol, tol_dual=tol)
-    (s_hat,), (p_hat,), (end,) = solvers._solve_joint(covs.covs, (w,), solver_cfg, (None,))
+    (s_hat,), (p_hat,), (end,) = solvers._solve_joint(covs.covs[None], (w,), solver_cfg, (None,))
     public = solve_joint_hidden(covs, w, solver_cfg)
     assert end.converged and end.iterations > 10
     assert all(np.array_equal(a, b) for a, b in zip((*s_hat, *p_hat),
                                                     public.s_hat + public.p_hat))
     duals = [u.copy() for u in end.duals]
-    _, _, (again,) = solvers._solve_joint(covs.covs, (w,), solver_cfg, (end,))
+    _, _, (again,) = solvers._solve_joint(covs.covs[None], (w,), solver_cfg, (end,))
     assert again.converged and again.iterations == 1
     assert all(np.array_equal(u, v) for u, v in zip(end.duals, duals))   # start is not modified
 
@@ -364,16 +364,17 @@ def _same_bits(batch, alone):
         assert np.array_equal(a, b)
 
 
-def _held_out_cell():
+def _held_out_cell(n_problems):
+    """The (n_problems, K, o, o) stack of one held-out cell's covariances."""
     from ggm.experiments import build_config, realize_cell
 
     cfg = build_config("tc1", {}, n=10, p=0.2, n_hidden=1, k_sweep=(2,), m=50,
                        n_realizations=1, base_seed=7)
-    return realize_cell(cfg, 0, 1)[0].covs
+    return np.repeat(realize_cell(cfg, 0, 1)[0].covs[None], n_problems, axis=0)
 
 
 def test_joint_batch_problems_equal_their_solves_alone():
-    covs = _held_out_cell()
+    covs = _held_out_cell(4)
     # eta 0 gives pair weights 0 next to non-zero ones; at 120 iterations
     # the problems stop at 93, 79 and 49 and one is capped
     ws = [PenaltyWeights.tied(2, r, b, r * e, b * e)
@@ -383,19 +384,19 @@ def test_joint_batch_problems_equal_their_solves_alone():
     assert [(run.iterations, run.converged) for run in runs] == \
         [(93, True), (79, True), (120, False), (49, True)]
     for i, w in enumerate(ws):
-        (s1,), (p1,), (run1,) = solvers._solve_joint(covs, (w,), cfg, (None,))
+        (s1,), (p1,), (run1,) = solvers._solve_joint(covs[:1], (w,), cfg, (None,))
         _same_bits(((s_hat[i], p_hat[i]), runs[i]), ((s1, p1), run1))
 
 
 def test_ggl_batch_problems_equal_their_solves_alone():
-    covs = _held_out_cell()
+    covs = _held_out_cell(4)
     lambda1, lambda2 = [0.3, 0.05, 0.01, 0.1], [0.0, 0.1, 0.02, 0.0]
     cfg = SolverConfig(max_iters=35, tol_primal=1e-4, tol_dual=1e-4)
     s_hat, runs = solvers._solve_ggl(covs, lambda1, lambda2, cfg, (None,) * 4)
     assert [(run.iterations, run.converged) for run in runs] == \
         [(34, True), (35, False), (20, True), (31, True)]
     for i, (l1, l2) in enumerate(zip(lambda1, lambda2)):
-        (s1,), (run1,) = solvers._solve_ggl(covs, [l1], [l2], cfg, (None,))
+        (s1,), (run1,) = solvers._solve_ggl(covs[:1], [l1], [l2], cfg, (None,))
         _same_bits(((s_hat[i],), runs[i]), ((s1,), run1))
 
 
@@ -408,7 +409,7 @@ def test_batch_of_one_layer_problems_over_the_einsum_buffer():
     cfg = SolverConfig(max_iters=4)
     s_hat, p_hat, runs = solvers._solve_joint(covs, ws, cfg, (None,) * 3)
     for i, w in enumerate(ws):
-        (s1,), (p1,), (run1,) = solvers._solve_joint(covs[i], (w,), cfg, (None,))
+        (s1,), (p1,), (run1,) = solvers._solve_joint(covs[i:i + 1], (w,), cfg, (None,))
         _same_bits(((s_hat[i], p_hat[i]), runs[i]), ((s1, p1), run1))
 
 
@@ -423,7 +424,7 @@ def test_norm_of_each_problem_is_its_norm_alone(size):
 
 
 def test_batch_warm_starts_equal_their_solves_alone():
-    covs = _held_out_cell()
+    covs = _held_out_cell(2)
     cfg = SolverConfig(max_iters=300, tol_primal=1e-4, tol_dual=1e-4)
     first = [PenaltyWeights.tied(2, 0.3, b, 0.3 * e, b * e) for b, e in [(0.1, 1.0), (0.5, 0.0)]]
     _, _, starts = solvers._solve_joint(covs, first, cfg, (None, None))
@@ -431,7 +432,7 @@ def test_batch_warm_starts_equal_their_solves_alone():
     then = [PenaltyWeights.tied(2, 0.1, b, 0.1 * e, b * e) for b, e in [(0.1, 1.0), (0.5, 0.0)]]
     s_hat, p_hat, runs = solvers._solve_joint(covs, then, cfg, starts)
     for i, w in enumerate(then):
-        (s1,), (p1,), (run1,) = solvers._solve_joint(covs, (w,), cfg, (starts[i],))
+        (s1,), (p1,), (run1,) = solvers._solve_joint(covs[:1], (w,), cfg, (starts[i],))
         _same_bits(((s_hat[i], p_hat[i]), runs[i]), ((s1, p1), run1))
     for run, arrays in zip(starts, kept):   # the start runs are not modified
         assert all(np.array_equal(a, b) for a, b in zip(run.z + run.duals, arrays))
@@ -442,7 +443,7 @@ def test_batch_warm_starts_equal_their_solves_alone():
     _, starts = solvers._solve_ggl(covs, [0.3, 0.3], [0.1, 0.0], cfg, (None, None))
     s_hat, runs = solvers._solve_ggl(covs, lambda1, [0.1, 0.0], cfg, starts)
     for i, l2 in enumerate([0.1, 0.0]):
-        (s1,), (run1,) = solvers._solve_ggl(covs, [lambda1[i]], [l2], cfg, (starts[i],))
+        (s1,), (run1,) = solvers._solve_ggl(covs[:1], [lambda1[i]], [l2], cfg, (starts[i],))
         _same_bits(((s_hat[i],), runs[i]), ((s1,), run1))
 
 
