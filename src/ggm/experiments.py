@@ -364,8 +364,9 @@ def _grid(cfg: ExperimentConfig, method: str) -> list:
 def _solve(method: str, covs, hps, solver_cfg: SolverConfig, starts):
     """One batched solve of a method: problem p on the covariance stack
     covs[p] of the (B, K, o, o) stack covs (K = 1 for GL and LVGL), at the
-    hyperparameters hps[p], started from starts[p] (None: cold). Returns
-    (S_O stacks, the AdmmRun of each problem)."""
+    hyperparameters hps[p], started from starts[p] (None: cold, else the
+    AdmmRun to continue). Returns (the (B, K, o, o) S_O stack, the AdmmRun
+    of each problem)."""
     if method in ("GL", "GGL"):   # GL is GGL at one layer, lambda2 = 0
         lambda2 = [hp[1] for hp in hps] if method == "GGL" else np.zeros(len(hps))
         return _solve_ggl(covs, [hp[0] for hp in hps], lambda2, solver_cfg, starts)
@@ -377,36 +378,6 @@ def _solve(method: str, covs, hps, solver_cfg: SolverConfig, starts):
     return s_hat, runs
 
 
-def _estimate(method: str, covs, hps, solver_cfg: SolverConfig, starts):
-    """One method's S_O estimates at len(hps) points, point p on the
-    covariance stack covs[p] of the (P, K, o, o) covs at the tuple hps[p]:
-    one list of K layers per point, and the AdmmRuns of each point's
-    solves, to start the next call from. starts are such runs (None:
-    cold, as the public solvers start).
-
-    GGL and Joint solve a point's stack as one problem, GL and LVGL each
-    of its layers as a one-layer problem. All these problems are solved
-    together, in batches whose (B, K, o, o) stacks stay under
-    _BATCH_BYTES; each problem's bits are those of its solve alone, so
-    the result does not depend on the split."""
-    per_layer = method in ("GL", "LVGL")
-    group = covs.shape[1] if per_layer else 1
-    if per_layer:   # point p's layers are problems p * K .. p * K + K - 1
-        covs = covs.reshape(-1, 1, *covs.shape[2:])
-    hps = [hp for hp in hps for _ in range(group)]
-    flat_starts = [run for runs in starts for run in runs] if starts else [None] * len(hps)
-    size = max(1, _BATCH_BYTES // covs[0].nbytes)
-    estimates, runs = [], []
-    for lo in range(0, len(hps), size):
-        s_hat, batch_runs = _solve(method, covs[lo:lo + size], hps[lo:lo + size], solver_cfg,
-                                   flat_starts[lo:lo + size])
-        estimates.extend(s_hat)
-        runs.extend(batch_runs)
-    return ([[s for layer_stack in estimates[i:i + group] for s in layer_stack]
-             for i in range(0, len(hps), group)],
-            [tuple(runs[i:i + group]) for i in range(0, len(hps), group)])
-
-
 def _solve_task(cfg: ExperimentConfig, sweep_index: int, realizations, jobs):
     """Realize the cells (sweep_index, r), r in realizations, once and
     solve each (method, steps) job on every cell, steps laid out as _grid
@@ -414,28 +385,42 @@ def _solve_task(cfg: ExperimentConfig, sweep_index: int, realizations, jobs):
     steps read row by row, the number of (cell, tuple) points with a solve
     that did not converge, and the ADMM iterations of all their solves.
 
-    Each cell's paths are walked by position, from the step of largest
-    rho down: a path's first solve starts cold and each later one where
-    its previous one ended (Friedman, Hastie & Tibshirani, JSS 2010). All
-    paths of all cells take each rho step together, as one _estimate
-    call, so a job of one step is solved cold, as the public solvers do."""
+    A job's problems are one flat list, ordered (cell, path, layer): GGL
+    and Joint solve a point's stack as one problem, GL and LVGL each of
+    its K layers as a one-layer problem. Each path is walked by position,
+    from the step of largest rho down: a problem's first solve starts cold
+    and each later one from the AdmmRun its previous one ended in
+    (Friedman, Hastie & Tibshirani, JSS 2010), so a job of one step is
+    solved cold, as the public solvers do. Each step solves every problem,
+    in _solve calls whose (B, K, o, o) stacks stay under _BATCH_BYTES;
+    each problem's bits are those of its solve alone, so the result does
+    not depend on the split."""
     cells = [realize_cell(cfg, sweep_index, r) for r in realizations]
     stack = np.stack([covs.covs for covs, _ in cells])   # (cells, K, o, o)
+    _, k, o, _ = stack.shape
     solver_cfg = cfg.solver_config()
     out = []
     for method, steps in jobs:
         n_paths = len(steps[0])
-        point_covs = np.repeat(stack, n_paths, axis=0)
+        layers = k if method in ("GL", "LVGL") else 1   # problems per point
+        rows = np.repeat(stack, n_paths, axis=0).reshape(-1, k // layers, o, o)
+        size = max(1, _BATCH_BYTES // rows[0].nbytes)
+        runs = [None] * len(rows)
         errors = np.empty((len(cells), len(steps), n_paths))
-        unconverged, iterations, runs = 0, 0, None
+        unconverged = iterations = 0
         for i in sorted(range(len(steps)), key=lambda i: -steps[i][0][0]):
-            estimates, runs = _estimate(method, point_covs, steps[i] * len(cells), solver_cfg,
-                                        runs)
-            for point, (layers, point_runs) in enumerate(zip(estimates, runs)):
-                cell, path = divmod(point, n_paths)
-                errors[cell, i, path] = mean_normalized_error(layers, cells[cell][1])
-                unconverged += not all(run.converged for run in point_runs)
-                iterations += sum(run.iterations for run in point_runs)
+            hps = [hp for hp in steps[i] * len(cells) for _ in range(layers)]
+            s_hat = []
+            for lo in range(0, len(rows), size):
+                s, runs[lo:lo + size] = _solve(method, rows[lo:lo + size], hps[lo:lo + size],
+                                               solver_cfg, runs[lo:lo + size])
+                s_hat.append(s)
+            s_hat = np.concatenate(s_hat).reshape(len(cells), n_paths, k, o, o)
+            for cell, path in np.ndindex(len(cells), n_paths):
+                errors[cell, i, path] = mean_normalized_error(s_hat[cell, path], cells[cell][1])
+            converged = np.reshape([run.converged for run in runs], (-1, layers))
+            unconverged += int((~converged.all(axis=1)).sum())
+            iterations += sum(run.iterations for run in runs)
         out.append((errors.reshape(len(cells), -1), unconverged, iterations))
     return out
 

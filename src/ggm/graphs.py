@@ -233,10 +233,10 @@ def to_precision(g: Graph, weight_range=(0.5, 1.0), diag_margin: float = 0.1,
     makes the minimum eigenvalue at least diag_margin.
     """
     lo, hi = weight_range
-    if not 0 < lo <= hi:
-        raise InvalidInput(f"weight range must satisfy 0 < lo <= hi, got ({lo}, {hi})")
-    if diag_margin <= 0:
-        raise InvalidInput(f"diag_margin must be positive, got {diag_margin}")
+    if not 0 < lo <= hi < np.inf:
+        raise InvalidInput(f"weight range must satisfy 0 < lo <= hi < inf, got ({lo}, {hi})")
+    if not 0 < diag_margin < np.inf:
+        raise InvalidInput(f"diag_margin must be positive and finite, got {diag_margin}")
     rng = _rng(rng_seed)
     n = g.n_nodes
     iu = np.triu_indices(n, 1)

@@ -43,8 +43,8 @@ def support_f1(est, truth, threshold: float = 0.1) -> float:
     With no predicted edges the score is 0 unless the truth is also
     empty.
     """
-    if threshold < 0:
-        raise InvalidInput(f"threshold must be nonnegative, got {threshold}")
+    if not 0 <= threshold < np.inf:
+        raise InvalidInput(f"threshold must be finite and nonnegative, got {threshold}")
     est = np.asarray(est, dtype=float)
     truth = np.asarray(truth, dtype=float)
     if est.shape != truth.shape:

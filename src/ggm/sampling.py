@@ -7,6 +7,7 @@ for the solvers. The RNG is numpy's PCG64 with the
 Generator.standard_normal ziggurat method, which is seedable and
 portable across platforms.
 """
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -84,8 +85,8 @@ def sample_gmrf(s, m: int, rng_seed: int) -> np.ndarray:
     normal, so cov(x) = (L L^T)^{-1} = S^{-1}. np.linalg.solve's LU of the
     upper-triangular L^T neither pivots nor eliminates: it back-substitutes.
     """
-    if m < 1:
-        raise InvalidInput(f"m must be >= 1, got {m}")
+    if not isinstance(m, numbers.Integral) or m < 1:
+        raise InvalidInput(f"m must be an integer >= 1, got {m!r}")
     prec = s.precision if isinstance(s, PrecisionGraph) else symmetrize(s)
     try:
         chol = np.linalg.cholesky(prec)

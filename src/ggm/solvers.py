@@ -20,12 +20,12 @@ limit) on S and on P, and prox_psd_trace. The group graphical lasso
 over-relaxed, scaled-form ADMM loop, `_admm`, and differ only in their
 prox steps and linear maps. `_admm` solves B independent problems of one
 shape at once, on a leading problem axis, each with its own step and
-stopping test and with the bits of its solve alone, and returns one
-AdmmRun per problem, its report and the end state a warm solve can start
-from. The private engine entry points `_solve_joint` and `_solve_ggl`
-take one weight set and one start per problem and return the runs with
-their estimates; the public solvers are those entry points at B = 1,
-started cold.
+stopping test and with the bits of its solve alone, and returns only
+one AdmmRun per problem: its end iterate, the end state a warm solve can
+start from, and its report. The private engine entry points
+`_solve_joint` and `_solve_ggl` take one weight set and one start per
+problem and stack their estimates from the runs; the public solvers are
+those entry points at B = 1, started cold.
 The single-graph baselines are their one-layer cases: the graphical
 lasso (GL) is GGL at one layer with lambda2 = 0, and the latent-variable
 graphical lasso (LVGL) is the joint estimator at K = 1.
@@ -151,10 +151,13 @@ class JointEstimate:
 
 @dataclass(frozen=True)
 class AdmmRun:
-    """One ADMM solve: the consensus variables z, scaled duals (one per
-    x-block) and step sigma it ended in, which a solve of another problem
-    of the same shape can start from (see _admm), and its report."""
+    """One ADMM solve, the only result of _admm: the x-blocks, consensus
+    variables z and scaled duals (one per x-block) after its last update,
+    each the problem's own copy, the step sigma it ended in, and its
+    report. A solve of another problem of the same shape can start from
+    z, duals and sigma (see _admm); the estimates are read from x or z."""
 
+    x: tuple
     z: tuple
     duals: tuple
     sigma: float
@@ -333,8 +336,8 @@ def _admm(steps, lift, z0, cfg, name, starts):
     residual sigma lift(z - z_prev), relative to the size of its iterates
     and of its duals, both fall below the tolerances (Boyd et al., sec.
     3.3), or at cfg.max_iters; until then its step is rebalanced. A
-    stopped problem leaves the batch with its state recorded, and the
-    rest go on.
+    stopped problem leaves the batch with copies of its state recorded,
+    and the rest go on.
 
     starts holds one entry per problem. None starts a problem cold: at
     z0, the tuple of one problem's z-blocks, with zero duals and step 1.
@@ -344,9 +347,9 @@ def _admm(steps, lift, z0, cfg, name, starts):
     ended, is a warm-started regularization path (Friedman, Hastie &
     Tibshirani, JSS 2010). starts are not modified.
 
-    Returns (x, runs): x the x-blocks, (B, ...) each, and runs one
-    AdmmRun per problem, whose z, duals and sigma are those after its
-    last update, so a solve started from it continues this one.
+    Returns one AdmmRun per problem, whose x, z, duals and sigma are
+    those after its last update, so a solve started from it continues
+    this one.
 
     Raises
     ------
@@ -362,7 +365,7 @@ def _admm(steps, lift, z0, cfg, name, starts):
     sigma = np.array([1.0 if start is None else start.sigma for start in starts])
     on = np.arange(n)
     x_proxes, z_step = steps(on)
-    out, runs, rows, histories = None, [None] * n, [], [[] for _ in range(n)]
+    runs, rows, histories = [None] * n, [], [[] for _ in range(n)]
     for it in range(cfg.max_iters):
         x = [prox(v - u, sigma) for prox, v, u in zip(x_proxes, lz, duals)]
         # the duals become t = x_hat + u, then u + x_hat - lift(z_new)
@@ -383,25 +386,17 @@ def _admm(steps, lift, z0, cfg, name, starts):
         rows.append((rp, rd))
         converged = (rp <= cfg.tol_primal) & (rd <= cfg.tol_dual)
         sigma = _rebalance(sigma, duals, rp, rd, ~converged)
-        if it + 1 < cfg.max_iters and not converged.any():
+        stop = converged | (it + 1 == cfg.max_iters)
+        if not stop.any():
             continue
-        stop = converged if it + 1 < cfg.max_iters else np.ones_like(converged)
         segment = np.array(rows)     # (iterations, 2, active problems)
         for j, p in enumerate(on):
             histories[p].append(segment[:, :, j])
         rows = []
-        if out is None:   # every problem stops at once: hand x over as it is
-            out = x if stop.all() else [np.empty((n,) + xi.shape[1:]) for xi in x]
-        if out is not x:
-            for block, xi in zip(out, x):
-                block[on[stop]] = xi[stop]
-        # a problem that stops while others go on keeps copies, not views
-        # that would hold the batch's arrays; the last to stop keep views
-        end = (lambda a: a) if stop.all() else np.copy
         for j in np.flatnonzero(stop):
-            runs[on[j]] = AdmmRun(tuple(end(zi[j]) for zi in z), tuple(end(u[j]) for u in duals),
-                                  float(sigma[j]), it + 1, bool(converged[j]),
-                                  np.concatenate(histories[on[j]]))
+            runs[on[j]] = AdmmRun(tuple(xi[j].copy() for xi in x), tuple(zi[j].copy() for zi in z),
+                                  tuple(u[j].copy() for u in duals), float(sigma[j]), it + 1,
+                                  bool(converged[j]), np.concatenate(histories[on[j]]))
         go = ~stop
         if not go.any():
             break
@@ -410,7 +405,7 @@ def _admm(steps, lift, z0, cfg, name, starts):
         lz = lift(z)
         duals = [u[go] for u in duals]
         x_proxes, z_step = steps(on)
-    return tuple(out), tuple(runs)
+    return tuple(runs)
 
 
 def _floor_spectrum(s, p):
@@ -483,10 +478,11 @@ def _solve_joint(cov_stack, weights, cfg: SolverConfig, starts):
         return (2.0 * ta + 3.0 * tb + tc + td) / 5.0, (-ta + tb + 2.0 * tc + 2.0 * td) / 5.0
 
     z0 = (np.broadcast_to(np.eye(o), (k, o, o)), np.zeros((k, o, o)))
-    x, runs = _admm(steps, lambda z: (z[0] - z[1], z[0], z[1], z[1]), z0, cfg,
-                    "joint solver", starts)
-    p_hat = 0.5 * (x[2] + np.swapaxes(x[2], -1, -2))
-    return _floor_spectrum(x[1], p_hat), p_hat, runs
+    runs = _admm(steps, lambda z: (z[0] - z[1], z[0], z[1], z[1]), z0, cfg, "joint solver",
+                 starts)
+    s_hat, p_hat = (np.stack([run.x[i] for run in runs]) for i in (1, 2))
+    p_hat = 0.5 * (p_hat + np.swapaxes(p_hat, -1, -2))
+    return _floor_spectrum(s_hat, p_hat), p_hat, runs
 
 
 def solve_lvgl(cov, rho: float, beta: float, cfg: SolverConfig = SolverConfig()):
@@ -545,7 +541,7 @@ def _solve_ggl(cov_stack, lambda1, lambda2, cfg: SolverConfig, starts):
         return (lambda v, sigma: prox_logdet(v, covs, np.repeat(sigma[:, None], k, 1)),), z_step
 
     z0 = (np.broadcast_to(np.eye(o), (k, o, o)),)
-    _, runs = _admm(steps, lambda z: z, z0, cfg, "group graphical lasso", starts)
+    runs = _admm(steps, lambda z: z, z0, cfg, "group graphical lasso", starts)
     return _floor_spectrum(np.stack([run.z[0] for run in runs]), None), runs
 
 

@@ -1,3 +1,4 @@
+import ast
 import ctypes
 import math
 import os
@@ -648,3 +649,13 @@ def test_cli_solve_missing_file(tmp_path, capsys):
     code = main(["solve", "--covs", str(tmp_path / "absent.csv"), "--out", str(tmp_path)])
     assert code == 2
     capsys.readouterr()
+
+
+def test_only_the_cli_prints():
+    # library code returns what it found or raises; only the CLI writes to the terminal
+    package = Path(experiments.__file__).parent
+    printing = sorted(
+        path.name for path in package.glob("*.py")
+        if any(isinstance(node, ast.Call) and getattr(node.func, "id", None) == "print"
+               for node in ast.walk(ast.parse(path.read_text(encoding="utf-8")))))
+    assert printing == ["cli.py"]

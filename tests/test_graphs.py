@@ -144,6 +144,10 @@ def test_to_precision_rejects_bad_range():
         to_precision(g, weight_range=(0.0, 1.0))
     with pytest.raises(InvalidInput):
         to_precision(g, weight_range=(2.0, 1.0))
+    with pytest.raises(InvalidInput):
+        to_precision(g, weight_range=(0.5, np.inf))
+    with pytest.raises(InvalidInput):
+        to_precision(g, diag_margin=np.nan)
 
 
 # ---------------------------------------------------------------------------

@@ -73,6 +73,13 @@ def test_support_f1_empty_estimate():
     assert support_f1(np.zeros((2, 2)), np.eye(2), 0.1) == 1.0   # nothing to find
 
 
+def test_support_f1_rejects_bad_threshold():
+    truth = np.array([[1.0, 0.5], [0.5, 1.0]])
+    for threshold in (-0.1, np.nan, np.inf):
+        with pytest.raises(InvalidInput):
+            support_f1(truth, truth, threshold)
+
+
 def test_support_f1_half():
     # truth has 4 edges; estimate recovers 2 of them plus 2 false ones
     n = 5

@@ -60,6 +60,8 @@ def test_sample_is_scipys_triangular_solve_bit_for_bit():
 def test_sample_rejects_bad_inputs():
     with pytest.raises(InvalidInput):
         sample_gmrf(np.eye(3), 0, 0)
+    with pytest.raises(InvalidInput):
+        sample_gmrf(np.eye(2), 2.5, 1)
     with pytest.raises(NumericalError):
         sample_gmrf(np.diag([1.0, -1.0]), 5, 0)
 

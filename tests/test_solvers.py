@@ -325,7 +325,7 @@ def test_admm_iteration_ceilings(monkeypatch, measured, solve):
     monkeypatch.setattr(solvers, "_admm", lambda *args: runs.append(admm(*args)) or runs[-1])
     covs = random_tiny_instance(np.random.default_rng(0), o=4, k=2, m=120)
     solve(covs, SolverConfig(max_iters=20_000, tol_primal=1e-7, tol_dual=1e-7))
-    (_, (run,)), = runs
+    ((run,),) = runs
     assert run.converged and run.iterations <= 1.1 * measured
 
 
@@ -360,7 +360,7 @@ def _same_bits(batch, alone):
     assert (run.iterations, run.converged, run.sigma) == \
         (run_alone.iterations, run_alone.converged, run_alone.sigma)
     assert np.array_equal(run.residual_history, run_alone.residual_history)
-    for a, b in zip(run.z + run.duals, run_alone.z + run_alone.duals):
+    for a, b in zip(run.x + run.z + run.duals, run_alone.x + run_alone.z + run_alone.duals):
         assert np.array_equal(a, b)
 
 
@@ -386,6 +386,20 @@ def test_joint_batch_problems_equal_their_solves_alone():
     for i, w in enumerate(ws):
         (s1,), (p1,), (run1,) = solvers._solve_joint(covs[:1], (w,), cfg, (None,))
         _same_bits(((s_hat[i], p_hat[i]), runs[i]), ((s1, p1), run1))
+
+
+def test_every_run_owns_its_arrays():
+    # the problems stop at 49, at 79 (two together) and at 93, and the last is capped
+    covs = _held_out_cell(5)
+    ws = [PenaltyWeights.tied(2, r, b, r * e, b * e) for r, b, e in
+          [(0.3, 0.5, 1.0), (0.05, 0.1, 0.0), (0.05, 0.1, 0.0), (0.01, 0.02, 2.0), (0.1, 0.3, 0.5)]]
+    cfg = SolverConfig(max_iters=120, tol_primal=1e-4, tol_dual=1e-4)
+    _, _, runs = solvers._solve_joint(covs, ws, cfg, (None,) * len(ws))
+    assert [run.iterations for run in runs] == [93, 79, 79, 120, 49]
+    _, alone = solvers._solve_ggl(covs[:1], [0.3], [0.0], cfg, (None,))
+    for run in runs + alone:
+        arrays = run.x + run.z + run.duals + (run.residual_history,)
+        assert all(a.base is None for a in arrays)
 
 
 def test_ggl_batch_problems_equal_their_solves_alone():
