@@ -354,14 +354,17 @@ def test_joint_restarted_from_its_end_state_stops_at_once(tol):
 
 def _same_bits(batch, alone):
     """The estimates and AdmmRun of one problem of a batch equal those of
-    its solve alone, bit for bit."""
+    its solve alone, bit for bit, and every array of both runs owns its
+    memory rather than viewing the batch's."""
     (estimates, run), (estimates_alone, run_alone) = batch, alone
     assert all(np.array_equal(a, b) for a, b in zip(estimates, estimates_alone))
     assert (run.iterations, run.converged, run.sigma) == \
         (run_alone.iterations, run_alone.converged, run_alone.sigma)
-    assert np.array_equal(run.residual_history, run_alone.residual_history)
-    for a, b in zip(run.x + run.z + run.duals, run_alone.x + run_alone.z + run_alone.duals):
+    arrays, arrays_alone = ((r.x + r.z + r.duals + (r.residual_history,))
+                            for r in (run, run_alone))
+    for a, b in zip(arrays, arrays_alone):
         assert np.array_equal(a, b)
+        assert a.base is None and b.base is None
 
 
 def _held_out_cell(n_problems):
@@ -374,32 +377,18 @@ def _held_out_cell(n_problems):
 
 
 def test_joint_batch_problems_equal_their_solves_alone():
-    covs = _held_out_cell(4)
-    # eta 0 gives pair weights 0 next to non-zero ones; at 120 iterations
-    # the problems stop at 93, 79 and 49 and one is capped
-    ws = [PenaltyWeights.tied(2, r, b, r * e, b * e)
-          for r, b, e in [(0.3, 0.5, 1.0), (0.05, 0.1, 0.0), (0.01, 0.02, 2.0), (0.1, 0.3, 0.5)]]
-    cfg = SolverConfig(max_iters=120, tol_primal=1e-4, tol_dual=1e-4)
-    s_hat, p_hat, runs = solvers._solve_joint(covs, ws, cfg, (None,) * len(ws))
-    assert [(run.iterations, run.converged) for run in runs] == \
-        [(93, True), (79, True), (120, False), (49, True)]
-    for i, w in enumerate(ws):
-        (s1,), (p1,), (run1,) = solvers._solve_joint(covs[:1], (w,), cfg, (None,))
-        _same_bits(((s_hat[i], p_hat[i]), runs[i]), ((s1, p1), run1))
-
-
-def test_every_run_owns_its_arrays():
-    # the problems stop at 49, at 79 (two together) and at 93, and the last is capped
     covs = _held_out_cell(5)
+    # eta 0 gives pair weights 0 next to non-zero ones; at 120 iterations
+    # the problems stop at 93, 79 (two together) and 49 and one is capped
     ws = [PenaltyWeights.tied(2, r, b, r * e, b * e) for r, b, e in
           [(0.3, 0.5, 1.0), (0.05, 0.1, 0.0), (0.05, 0.1, 0.0), (0.01, 0.02, 2.0), (0.1, 0.3, 0.5)]]
     cfg = SolverConfig(max_iters=120, tol_primal=1e-4, tol_dual=1e-4)
-    _, _, runs = solvers._solve_joint(covs, ws, cfg, (None,) * len(ws))
-    assert [run.iterations for run in runs] == [93, 79, 79, 120, 49]
-    _, alone = solvers._solve_ggl(covs[:1], [0.3], [0.0], cfg, (None,))
-    for run in runs + alone:
-        arrays = run.x + run.z + run.duals + (run.residual_history,)
-        assert all(a.base is None for a in arrays)
+    s_hat, p_hat, runs = solvers._solve_joint(covs, ws, cfg, (None,) * len(ws))
+    assert [(run.iterations, run.converged) for run in runs] == \
+        [(93, True), (79, True), (79, True), (120, False), (49, True)]
+    for i, w in enumerate(ws):
+        (s1,), (p1,), (run1,) = solvers._solve_joint(covs[:1], (w,), cfg, (None,))
+        _same_bits(((s_hat[i], p_hat[i]), runs[i]), ((s1, p1), run1))
 
 
 def test_ggl_batch_problems_equal_their_solves_alone():
