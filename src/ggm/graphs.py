@@ -5,6 +5,7 @@ variants), conversion of a support into a valid positive definite
 precision matrix, hidden-node partitions, and the observed/hidden block
 views of a matrix.
 """
+import numbers
 import warnings
 from dataclasses import dataclass
 
@@ -130,12 +131,11 @@ class MultiLayerFamily:
     def n_layers(self) -> int:
         return len(self.layers)
 
-    @property
-    def support_diff(self) -> np.ndarray:
-        """(K, K) ints: entry (k, k') counts the off-diagonal entries that
-        differ between the supports of layers k and k'."""
-        support = np.array([layer.graph.adjacency != 0 for layer in self.layers])
-        return np.count_nonzero(support[:, None] != support[None], axis=(-2, -1))
+
+def _check_count(value, name: str, least: int):
+    """InvalidInput unless value is an integer >= least."""
+    if not isinstance(value, numbers.Integral) or value < least:
+        raise InvalidInput(f"{name} must be an integer >= {least}, got {value!r}")
 
 
 def _rng(seed) -> np.random.Generator:
@@ -145,6 +145,7 @@ def _rng(seed) -> np.random.Generator:
 
 def gen_erdos_renyi(n: int, p: float, rng_seed: int) -> Graph:
     """Erdos-Renyi graph: each unordered pair is an edge with probability p."""
+    _check_count(n, "n", 1)
     if not 0.0 <= p <= 1.0:
         raise InvalidInput(f"p must lie in [0, 1], got {p}")
     rng = _rng(rng_seed)
@@ -163,6 +164,7 @@ def gen_small_world(n: int, neighbors: int, rewire_p: float, rng_seed: int) -> G
     drawn endpoint, avoiding self-loops and duplicate edges. The edge
     count n * neighbors / 2 is preserved.
     """
+    _check_count(n, "n", 1)
     if neighbors >= n:
         raise InvalidInput(f"neighbors = {neighbors} must be < n = {n}")
     if neighbors < 2 or neighbors % 2 != 0:
@@ -196,14 +198,14 @@ def gen_rewired_family(base: Graph, k: int, n_rewire: int, rng_seed: int):
     Every variant keeps the edge count of ``base``; its support differs
     from the base in at most 4 * n_rewire matrix entries.
     """
-    if k < 1:
-        raise InvalidInput(f"k must be >= 1, got {k}")
+    _check_count(k, "k", 1)
+    _check_count(n_rewire, "n_rewire", 0)
     n = base.n_nodes
     iu = np.triu_indices(n, 1)
     edge_mask = base.adjacency[iu] != 0
     edges = np.flatnonzero(edge_mask)
     non_edges = np.flatnonzero(~edge_mask)
-    if n_rewire < 0 or n_rewire > edges.size:
+    if n_rewire > edges.size:
         raise InvalidInput(f"n_rewire = {n_rewire} exceeds the {edges.size} edges of the base")
     if n_rewire > non_edges.size:
         raise InvalidInput(f"not enough non-edges to insert {n_rewire} rewired edges")
@@ -244,15 +246,17 @@ def to_precision(g: Graph, weight_range=(0.5, 1.0), diag_margin: float = 0.1,
     s = np.zeros((n, n))
     s[iu] = -weights
     s = s + s.T
-    lam_min = np.linalg.eigvalsh(s).min() if n > 0 else 0.0
+    lam_min = np.linalg.eigvalsh(s).min()
     s[np.diag_indices(n)] = abs(min(lam_min, 0.0)) + diag_margin
     return PrecisionGraph(g, s)
 
 
 def choose_hidden(n: int, n_hidden: int, rng_seed: int) -> BlockPartition:
     """Uniformly random hidden set of the requested size; observed first."""
-    if n_hidden < 0 or n_hidden >= n:
-        raise InvalidInput(f"n_hidden = {n_hidden} must satisfy 0 <= n_hidden < n = {n}")
+    _check_count(n, "n", 1)
+    _check_count(n_hidden, "n_hidden", 0)
+    if n_hidden >= n:
+        raise InvalidInput(f"n_hidden = {n_hidden} must be < n = {n}")
     rng = _rng(rng_seed)
     hidden = np.sort(rng.choice(n, size=n_hidden, replace=False))
     observed = np.setdiff1d(np.arange(n), hidden)

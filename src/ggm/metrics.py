@@ -15,6 +15,8 @@ def per_layer_normalized_error(est, truth) -> np.ndarray:
     """Squared Frobenius distance between unit-normalized matrices, per layer."""
     if len(est) != len(truth):
         raise InvalidInput(f"{len(est)} estimates vs {len(truth)} truths")
+    if not len(est):
+        raise InvalidInput("need at least one layer")
     out = np.empty(len(est))
     for i, (e, t) in enumerate(zip(est, truth)):
         e = np.asarray(e, dtype=float)
@@ -49,6 +51,10 @@ def support_f1(est, truth, threshold: float = 0.1) -> float:
     truth = np.asarray(truth, dtype=float)
     if est.shape != truth.shape:
         raise InvalidInput(f"shape mismatch: {est.shape} vs {truth.shape}")
+    if est.ndim != 2 or est.shape[0] != est.shape[1]:
+        raise InvalidInput(f"expected square matrices, got shape {est.shape}")
+    if not (np.isfinite(est).all() and np.isfinite(truth).all()):
+        raise InvalidInput("estimate and truth must be finite")
     iu = np.triu_indices(est.shape[0], 1)
     e = np.abs(est[iu])
     cut = threshold * e.max() if e.size else 0.0

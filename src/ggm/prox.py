@@ -118,10 +118,10 @@ def prox_psd_trace(a, kappa):
 # for all columns at once in O(K^2) time and O(K) memory per column.
 # Per-coordinate l1 weights or non-uniform pair weights take the exact
 # minimum-cut decomposition of fused_prox_cuts, batched over columns.
-# _fused_columns makes that choice once per weight set, and
-# symmetric_fused_prox, the solvers' kernel, applies it to the upper
-# triangle of the symmetric part of each matrix and mirrors the result,
-# which is the exact prox over symmetric matrices.
+# symmetric_fused_prox, the one entry to both, makes that choice once per
+# weight set, applies it to the upper triangle of the symmetric part of
+# each matrix and mirrors the result, which is the exact prox over
+# symmetric matrices; prox_fused_l1 is its one-vector case.
 # ---------------------------------------------------------------------------
 
 
@@ -265,69 +265,52 @@ def fused_prox_cuts(v, lam, pair):
     return z
 
 
-def _fused_columns(lam, pair, max_cut_layers):
-    """The fused-l1 prox f(v, sigma) of the columns of v (K, n) at l1
-    weights lam / sigma and pair weights pair / sigma (a symmetric (K, K)
-    matrix with zero diagonal), its path chosen once for these weights.
-
-    Raises InvalidInput if the weights are not uniform and K exceeds
-    max_cut_layers.
-    """
-    if _is_uniform(lam, pair):
-        # the one pair weight; 0 at K = 1, where this is soft-thresholding
-        lam1, pair_weight = lam[0], float(pair.max())
-        return lambda v, sigma: fused_prox_stack(v, lam1 / sigma, pair_weight / sigma)
-    if len(lam) > max_cut_layers:
-        raise InvalidInput(f"non-uniform weights need a fused prox exponential in K; K={len(lam)} "
-                           f"exceeds {max_cut_layers}, use PenaltyWeights.tied")
-    return lambda v, sigma: fused_prox_cuts(v, lam / sigma, pair / sigma)
-
-
-def symmetric_fused_prox(lam, pair, o: int, diagonal: bool):
+def symmetric_fused_prox(lam, pair, o: int, diagonal: bool,
+                         max_cut_layers: int = _MAX_SOLVE_CUT_LAYERS):
     """The fused-l1 prox f(v, sigma) over symmetric matrices of B problems
-    of K layers, at l1 weights lam / sigma and pair weights pair / sigma
-    (as in _fused_columns). lam is (K,) or (B, K), pair (K, K) or (B, K,
-    K), one weight set per problem; v is (K, o, o) or (B, K, o, o) to
-    match, and sigma a scalar or one step per problem.
+    of K layers, at l1 weights lam / sigma and pair weights pair / sigma:
+    lam is (B, K) and pair (B, K, K), each problem's l1 weights and its
+    symmetric pair weights with zero diagonal; v is (B, K, o, o) and
+    sigma a scalar or one step per problem.
 
     The upper triangle (with the diagonal if `diagonal` is set) gets the
     prox of the symmetric part (v + v^T) / 2 and is mirrored to the lower
     one; an unpenalized diagonal keeps the values of v. Since the penalty
     and the squared distance each count an off-diagonal pair twice, this
     is the exact prox over symmetric matrices. The triangles of all
-    problems are laid out as the columns of one (K, B n) array, so one
-    fused_prox_stack call serves the batch when every problem's weights
-    are uniform; otherwise each problem takes its own _fused_columns path.
-    The index tables are built here, once per weight set.
+    problems are laid out as the columns of one (K, B n) array. Each
+    problem's path is chosen here, once per weight set: uniform weights
+    take fused_prox_stack, so one call serves the batch when every
+    problem's weights are uniform, and any other weights take
+    fused_prox_cuts. prox_fused_l1 is the case B = 1, o = 1.
 
-    Raises InvalidInput if some problem's weights are not uniform and
-    K > 8.
+    Raises InvalidInput if some problem's weights are not uniform and K
+    exceeds max_cut_layers.
     """
-    k = np.shape(lam)[-1]
-    lam = np.reshape(lam, (-1, k))
-    pair = np.reshape(pair, (-1, k, k))
-    b = lam.shape[0]
+    b, k = np.shape(lam)
     i, j = np.triu_indices(o, 0 if diagonal else 1)
     n = i.size
     # entry t of problem p's layer l sits in column p n + t, row l
     base = (np.arange(b) * k + np.arange(k)[:, None])[:, :, None] * (o * o)
     upper = (base + i * o + j).reshape(k, b * n)
     lower = (base + j * o + i).reshape(k, b * n)
-    if all(_is_uniform(lam_p, pair_p) for lam_p, pair_p in zip(lam, pair)):
-        # the one pair weight of each problem; 0 at K = 1, where this is soft-thresholding
-        lam1, pair_weight = lam[:, 0], pair.max(axis=(1, 2))
-
+    uniform = [_is_uniform(lam_p, pair_p) for lam_p, pair_p in zip(lam, pair)]
+    if k > max_cut_layers and not all(uniform):
+        raise InvalidInput(f"non-uniform weights need a fused prox exponential in K; K={k} "
+                           f"exceeds {max_cut_layers}, use PenaltyWeights.tied")
+    # the one pair weight of each uniform problem; 0 at K = 1, where this is soft-thresholding
+    lam1, pair_weight = lam[:, 0], pair.max(axis=(1, 2))
+    if all(uniform):
         def fused(sym, sigma):
             return fused_prox_stack(sym, np.repeat(lam1 / sigma, n),
                                     np.repeat(pair_weight / sigma, n))
     else:
-        paths = [_fused_columns(lam_p, pair_p, _MAX_SOLVE_CUT_LAYERS)
-                 for lam_p, pair_p in zip(lam, pair)]
-
         def fused(sym, sigma):
             sigma = np.broadcast_to(sigma, (b,))
-            return np.hstack([path(sym[:, p * n:(p + 1) * n], sigma[p])
-                              for p, path in enumerate(paths)])
+            return np.hstack([
+                fused_prox_stack(cols, lam1[p] / sigma[p], pair_weight[p] / sigma[p]) if uniform[p]
+                else fused_prox_cuts(cols, lam[p] / sigma[p], pair[p] / sigma[p])
+                for p, cols in enumerate(np.split(sym, b, axis=1))])
 
     def prox(v, sigma):
         flat = v.reshape(-1)
@@ -349,7 +332,8 @@ def prox_fused_l1(values, lambda1, pair_weights=0.0):
     of length K(K-1)/2 ordered by (k, k') with k < k', or a full
     symmetric matrix.
 
-    One l1 weight and one pair weight for all coordinates take the exact
+    This is the one-problem, 1 x 1 case of symmetric_fused_prox: one l1
+    weight and one pair weight for all coordinates take the exact
     sort/isotonic path of fused_prox_stack; anything else takes the exact
     minimum-cut decomposition of fused_prox_cuts, whose cost grows as 2^K,
     and is rejected beyond K = 16.
@@ -362,4 +346,5 @@ def prox_fused_l1(values, lambda1, pair_weights=0.0):
     if not np.isfinite(lam).all() or np.any(lam < 0):
         raise InvalidInput("lambda1 must be finite and nonnegative")
     w_full = _pair_weight_matrix(pair_weights, k)
-    return _fused_columns(lam, w_full, _MAX_CUT_LAYERS)(v[:, None], 1.0)[:, 0]
+    prox = symmetric_fused_prox(lam[None], w_full[None], 1, True, _MAX_CUT_LAYERS)
+    return prox(v.reshape(1, k, 1, 1), 1.0).reshape(k)

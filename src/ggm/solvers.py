@@ -233,12 +233,22 @@ def _joint_value(s, p, cov_stack, w, logdet, nuclear):
     return total
 
 
+def _ggl_weights(lambda1, lambda2):
+    """lambda1 and lambda2 as float arrays (a scalar each, or one weight
+    per problem); InvalidInput unless all are finite and nonnegative."""
+    lambda1, lambda2 = np.asarray(lambda1, dtype=float), np.asarray(lambda2, dtype=float)
+    if not np.all((0 <= lambda1) & (lambda1 < np.inf) & (0 <= lambda2) & (lambda2 < np.inf)):
+        raise InvalidInput("lambda1 and lambda2 must be finite and nonnegative")
+    return lambda1, lambda2
+
+
 def ggl_objective(s_list, covs, lambda1: float, lambda2: float) -> float:
     """Group graphical lasso: per-layer graphical-lasso terms
     tr(S C) - logdet S + lambda1 ||S||_1 plus a cross-layer group-l2
     penalty, both on the off-diagonal entries; +inf when some S^k is not
     positive definite. At one layer with lambda2 = 0 this is the
     graphical-lasso objective."""
+    _ggl_weights(lambda1, lambda2)
     cov_stack = ObservedCovariances.of(covs).covs
     stack = _estimate_stack(s_list, cov_stack.shape, "s")
     ev = np.linalg.eigvalsh(stack)
@@ -437,8 +447,9 @@ def solve_joint_hidden(covs, w: PenaltyWeights, cfg: SolverConfig = SolverConfig
     InvalidInput
         If a covariance is not finite, or, before the first iteration, if
         K > 8 and rho, rho_pair or beta_pair are not uniform across layers
-        (see PenaltyWeights.tied): prox.symmetric_fused_prox builds the
-        fused prox, which for non-uniform weights enumerates 2^K cuts.
+        (see PenaltyWeights.tied): prox.symmetric_fused_prox, the one
+        entry to the fused prox, chooses its path there, and for
+        non-uniform weights that path enumerates 2^K cuts.
     """
     observed = ObservedCovariances.of(covs)
     s_hat, p_hat, (run,) = _solve_joint(observed.covs[None], (w,), cfg, (None,))
@@ -520,9 +531,7 @@ def _solve_ggl(cov_stack, lambda1, lambda2, cfg: SolverConfig, starts):
     cov_stack is as in _solve_joint. Returns (S stack, runs): (B, K, o, o)
     and one AdmmRun per problem, each problem's bits those of its solve
     alone."""
-    lambda1, lambda2 = np.asarray(lambda1, dtype=float), np.asarray(lambda2, dtype=float)
-    if not np.all((0 <= lambda1) & (lambda1 < np.inf) & (0 <= lambda2) & (lambda2 < np.inf)):
-        raise InvalidInput("lambda1 and lambda2 must be finite and nonnegative")
+    lambda1, lambda2 = _ggl_weights(lambda1, lambda2)
     _, k, o, _ = cov_stack.shape
     diag = np.eye(o, dtype=bool)
 
@@ -576,6 +585,9 @@ class GGLProblem:
     covs: object
     lambda1: float
     lambda2: float
+
+    def __post_init__(self):
+        _ggl_weights(self.lambda1, self.lambda2)
 
 
 @dataclass(frozen=True)

@@ -5,7 +5,6 @@ from ggm.errors import InvalidInput
 from ggm.graphs import (
     BlockPartition,
     Graph,
-    MultiLayerFamily,
     PrecisionGraph,
     block_view,
     choose_hidden,
@@ -44,6 +43,9 @@ def test_er_mean_edge_count():
 def test_er_rejects_bad_probability():
     with pytest.raises(InvalidInput):
         gen_erdos_renyi(10, 1.5, 0)
+    for n in (-1, 0, 2.5):
+        with pytest.raises(InvalidInput, match="n must be an integer >= 1"):
+            gen_erdos_renyi(n, 0.1, 0)
 
 
 def test_sw_zero_rewire_is_ring_lattice():
@@ -101,6 +103,11 @@ def test_rewired_family_rejects_too_many():
     base = gen_erdos_renyi(10, 0.2, 0)
     with pytest.raises(InvalidInput):
         gen_rewired_family(base, 2, base.n_edges + 1, 0)
+    with pytest.raises(InvalidInput, match="k must be an integer >= 1"):
+        gen_rewired_family(base, 2.5, 1, 0)
+    for n_rewire in (-1, 1.5):
+        with pytest.raises(InvalidInput, match="n_rewire must be an integer >= 0"):
+            gen_rewired_family(base, 2, n_rewire, 0)
 
 
 def test_generators_deterministic_and_seed_sensitive():
@@ -170,6 +177,10 @@ def test_choose_hidden_is_permutation():
 def test_choose_hidden_rejects_too_many():
     with pytest.raises(InvalidInput):
         choose_hidden(5, 5, 0)
+    with pytest.raises(InvalidInput, match="n_hidden must be an integer >= 0"):
+        choose_hidden(5, 1.5, 0)
+    with pytest.raises(InvalidInput, match="n must be an integer >= 1"):
+        choose_hidden(0, 0, 0)
 
 
 def test_partition_warns_when_hidden_dominates():
@@ -248,15 +259,3 @@ def test_marginal_precision_matches_inverse_oracle():
             rank = np.linalg.matrix_rank(p, tol=1e-8)
             assert rank <= h
             assert np.linalg.eigvalsh(p).min() >= -1e-10
-
-
-def test_family_records_support_differences():
-    base = gen_erdos_renyi(10, 0.3, 0)
-    graphs = gen_rewired_family(base, 3, 2, 1)
-    pgs = tuple(to_precision(g, rng_seed=i) for i, g in enumerate(graphs))
-    fam = MultiLayerFamily(pgs, choose_hidden(10, 1, 2))
-    assert fam.support_diff.shape == (3, 3) and fam.support_diff.dtype == int
-    assert not fam.support_diff.diagonal().any()
-    assert np.array_equal(fam.support_diff, fam.support_diff.T)
-    assert fam.support_diff[0, 1] <= 4 * 2
-    assert fam.support_diff[1, 2] <= 8 * 2   # variant-to-variant bound

@@ -53,6 +53,8 @@ def test_error_rejects_degenerate_and_mismatched():
         mean_normalized_error([np.eye(2)], [np.eye(2), np.eye(2)])
     with pytest.raises(InvalidInput):
         mean_normalized_error([np.eye(2)], [np.eye(3)])
+    with pytest.raises(InvalidInput, match="at least one layer"):
+        mean_normalized_error([], [])
 
 
 def test_error_averages_layers():
@@ -78,6 +80,13 @@ def test_support_f1_rejects_bad_threshold():
     for threshold in (-0.1, np.nan, np.inf):
         with pytest.raises(InvalidInput):
             support_f1(truth, truth, threshold)
+    with pytest.raises(InvalidInput, match="finite"):
+        support_f1(np.array([[1.0, np.nan], [np.nan, 1.0]]), truth)
+    with pytest.raises(InvalidInput, match="finite"):
+        support_f1(truth, np.array([[1.0, np.inf], [np.inf, 1.0]]))
+    for shape in ((2, 3), (3,)):
+        with pytest.raises(InvalidInput, match="square"):
+            support_f1(np.ones(shape), np.ones(shape))
 
 
 def test_support_f1_half():

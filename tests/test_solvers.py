@@ -9,7 +9,7 @@ import ggm.solvers as solvers
 from ggm.errors import InvalidInput
 from ggm.metrics import mean_normalized_error
 from ggm.sampling import ObservedCovariances
-from ggm.prox import _fused_columns, prox_fused_l1, soft_threshold, symmetric_fused_prox
+from ggm.prox import fused_prox_stack, prox_fused_l1, soft_threshold, symmetric_fused_prox
 from ggm.solvers import (
     _PD_FLOOR,
     GGLProblem,
@@ -236,6 +236,8 @@ _NONFINITE_SETTINGS = {
     "gl lambda inf": lambda: solve_gl(np.eye(2), np.inf),
     "ggl lambda1 nan": lambda: solve_ggl([np.eye(2)] * 2, np.nan, 0.1),
     "ggl lambda2 inf": lambda: solve_ggl([np.eye(2)] * 2, 0.1, np.inf),
+    "ggl objective lambda1 nan": lambda: ggl_objective([np.eye(2)], [np.eye(2)], np.nan, 0.0),
+    "ggl oracle lambda2 inf": lambda: GGLProblem((np.eye(2),), 0.1, np.inf),
     "soft_threshold nan": lambda: soft_threshold(np.ones((2, 2)), np.nan),
 }
 
@@ -260,6 +262,10 @@ _MALFORMED_SETTINGS = {
     "kappa nan": (lambda: prox.prox_psd_trace(np.eye(2), np.nan), "kappa must be nonnegative"),
     "kappa nan in a stack": (lambda: prox.prox_psd_trace(np.stack([np.eye(2)] * 2), [0.1, np.nan]),
                              "kappa must be nonnegative"),
+    "ggl objective lambda2 -5": (lambda: ggl_objective([np.eye(2)], [np.eye(2)], 0.1, -5.0),
+                                 "lambda1 and lambda2 must be finite and nonnegative"),
+    "ggl oracle lambda1 -0.5": (lambda: reference_oracle(GGLProblem((np.eye(2),), -0.5, 0.0)),
+                                "lambda1 and lambda2 must be finite and nonnegative"),
 }
 
 
@@ -391,6 +397,25 @@ def test_joint_batch_problems_equal_their_solves_alone():
         _same_bits(((s_hat[i], p_hat[i]), runs[i]), ((s1, p1), run1))
 
 
+def test_joint_batch_mixes_tied_and_nonuniform_weights():
+    # one problem's non-uniform weights send the fused prox of the batch
+    # through each problem's own path (cuts or sort), not the shared one
+    from ggm.experiments import build_config, realize_cell
+
+    cfg = build_config("tc1", {}, k_sweep=(3,), n_realizations=1, base_seed=0)
+    covs = np.repeat(realize_cell(cfg, 0, 0)[0].covs[None], 3, axis=0)
+    rho_pair = np.random.default_rng(5).uniform(0.02, 0.08, (3, 3))
+    ws = [PenaltyWeights.tied(3, 0.1, 0.2, 0.05, 0.1),
+          PenaltyWeights(np.array([0.1, 0.15, 0.2]), np.full(3, 0.2), rho_pair + rho_pair.T, 0.1),
+          PenaltyWeights.tied(3, 0.3, 0.5, 0.1, 0.0)]
+    cfg = SolverConfig(max_iters=300, tol_primal=1e-4, tol_dual=1e-4)
+    s_hat, p_hat, runs = solvers._solve_joint(covs, ws, cfg, (None,) * 3)
+    assert [(run.iterations, run.converged) for run in runs] == [(66, True), (67, True), (60, True)]
+    for i, w in enumerate(ws):
+        (s1,), (p1,), (run1,) = solvers._solve_joint(covs[:1], (w,), cfg, (None,))
+        _same_bits(((s_hat[i], p_hat[i]), runs[i]), ((s1, p1), run1))
+
+
 def test_ggl_batch_problems_equal_their_solves_alone():
     covs = _held_out_cell(4)
     lambda1, lambda2 = [0.3, 0.05, 0.01, 0.1], [0.0, 0.1, 0.02, 0.0]
@@ -515,20 +540,20 @@ def test_joint_nonuniform_weights_at_eight_layers():
 def test_symmetric_fused_prox_is_full_update_of_symmetric_part(k, diagonal):
     rng = np.random.default_rng(10 + k)
     o = 6
-    v = rng.normal(0.0, 0.5, (k, o, o))            # not symmetric
-    sym = (0.5 * (v + np.swapaxes(v, 1, 2))).reshape(k, -1)
-    rho = np.full(k, 0.1)
-    pair = np.full((k, k), 0.07)
+    v = rng.normal(0.0, 0.5, (1, k, o, o))         # not symmetric
+    sym = (0.5 * (v + np.swapaxes(v, 2, 3))).reshape(k, -1)
+    rho = np.full((1, k), 0.1)
+    pair = np.full((1, k, k), 0.07)
     sigma = 0.8
     # S block: strict upper triangle, plus the diagonal when diagonal is set
     got = symmetric_fused_prox(rho, pair, o, diagonal)(v, sigma).reshape(k, -1)
     want = sym.copy()
     cols = np.ones(o * o, dtype=bool) if diagonal else ~np.eye(o, dtype=bool).ravel()
-    want[:, cols] = _fused_columns(rho, pair, 8)(sym[:, cols], sigma)
+    want[:, cols] = fused_prox_stack(sym[:, cols], 0.1 / sigma, 0.07 / sigma)
     assert np.max(np.abs(got - want)) <= 1e-12
     # P block: upper triangle with the diagonal, no l1 weight
-    got = symmetric_fused_prox(np.zeros(k), pair, o, True)(v, sigma).reshape(k, -1)
-    assert np.max(np.abs(got - _fused_columns(np.zeros(k), pair, 8)(sym, sigma))) <= 1e-12
+    got = symmetric_fused_prox(np.zeros((1, k)), pair, o, True)(v, sigma).reshape(k, -1)
+    assert np.max(np.abs(got - fused_prox_stack(sym, 0.0, 0.07 / sigma))) <= 1e-12
 
 
 def test_fused_path_is_chosen_once_per_block(monkeypatch):
